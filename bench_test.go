@@ -37,7 +37,7 @@ func benchProbe(b *testing.B, typ probe.Type) {
 	attacker := s.Net.Host(core.HostAttackerA)
 	victim := s.Net.Host(core.HostVictim)
 	zombie := s.Net.Host(core.HostClient)
-	p := probe.New(s.Net.Kernel, attacker, typ,
+	p := probe.New(s.Net.ControlKernel(), attacker, typ,
 		probe.WithZombie(probe.Zombie{MAC: zombie.MAC(), IP: zombie.IP(), Port: 9}))
 	target := probe.Target{MAC: victim.MAC(), IP: victim.IP(), Port: 80}
 	b.ResetTimer()
@@ -209,7 +209,7 @@ func BenchmarkFig10_LLIMeasurementRound(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if len(s.LLI.Samples()) == 0 {
+	if len(s.LLI().Samples()) == 0 {
 		b.Fatal("no LLI samples")
 	}
 }
@@ -258,7 +258,7 @@ func BenchmarkIDSInspectSYN(b *testing.B) {
 func BenchmarkOOBFabricationRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := core.NewFig9Testbed(int64(i)+1, core.BothBaselines())
-		fab := attack.NewOOBFabrication(s.Net.Kernel,
+		fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 			s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 			attack.FabricationConfig{UseAmnesia: true})
 		if err := s.Run(2 * time.Second); err != nil {

@@ -72,9 +72,9 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "worker goroutines for multi-trial experiments (0 = one per CPU, 1 = serial)")
 	metricsPath := fs.String("metrics", "", "write the obs experiment's metrics snapshot to this file (.csv for CSV, anything else for JSON Lines)")
 	tracePath := fs.String("trace", "", "obs/scale experiments: record causal spans and write them to this file (.jsonl for JSON Lines, anything else for Chrome trace_event JSON)")
-	shards := fs.Int("shards", 0, "scale experiment: shard kernels (0 = legacy single-kernel path at k=4,8)")
-	scaleK := fs.String("scalek", "4,8,16", "scale experiment: comma-separated fat-tree arities (sharded path only)")
-	scaleRounds := fs.Int("scalerounds", 3, "scale experiment: steady-state ping rounds (sharded path only)")
+	shards := fs.Int("shards", 1, "scale experiment: shard kernels (at least 1)")
+	scaleK := fs.String("scalek", "4,8,16", "scale experiment: comma-separated fat-tree arities")
+	scaleRounds := fs.Int("scalerounds", 3, "scale experiment: steady-state ping rounds")
 	scaleParallel := fs.Bool("scaleparallel", true, "scale experiment: run shard epochs on parallel goroutines")
 	dosK := fs.Int("dosk", 4, "dos experiment: fat-tree arity")
 	dosFloor := fs.Float64("dosfloor", 0, "dos experiment: fail if any run executes fewer kernel events/s (0 = no floor)")
@@ -89,6 +89,9 @@ func run(args []string) error {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile, taken after the run, to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	}
 
 	if *cpuProfile != "" {
@@ -484,17 +487,16 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	header("OBSERVABILITY: metrics, events and kernel profile (Fig 9 testbed, TOPOGUARD+)")
 	s := core.NewFig9Testbed(seed, core.TopoGuardPlus())
 	defer s.Close()
-	var recorder *trace.Recorder
 	if tracePath != "" {
-		recorder = s.Net.EnableTrace(0)
+		s.Net.EnableTrace(0)
 	}
-	profile := obs.NewKernelProfile(s.Net.Kernel, 30*time.Second)
+	profile := obs.NewKernelProfile(s.Net.ControlKernel(), 30*time.Second)
 	if err := s.Run(2 * time.Minute); err != nil {
 		return err
 	}
 	profile.Stop()
 
-	reg := s.Net.Metrics()
+	reg := s.Net.MergedMetrics()
 	snap := reg.Snapshot()
 	fmt.Println("deterministic registry snapshot (selected series):")
 	selected := []string{"sim_", "controller_", "defense_", "lli_"}
@@ -545,8 +547,8 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 		}
 		fmt.Printf("\nmetrics snapshot written to %s\n", metricsPath)
 	}
-	if recorder != nil {
-		if err := writeSpans(trace.Merge(recorder), recorder.Dropped(), tracePath); err != nil {
+	if tracePath != "" {
+		if err := writeSpans(s.Net.MergedSpans(), s.Net.ShardTracer(0).Dropped(), tracePath); err != nil {
 			return err
 		}
 	}
@@ -577,36 +579,15 @@ func writeSpans(spans []trace.Span, dropped uint64, path string) error {
 }
 
 // printScale runs the fat-tree scale benchmark: full discovery plus
-// reactive cross-pod forwarding under TOPOGUARD+. With shards == 0 it
-// keeps the legacy single-kernel path at k=4 and k=8; with shards >= 1
-// it runs the sharded kernel over the -scalek arities (k=16 builds
-// 320 switches, k=32 builds 1280 — only reachable on the sharded path).
+// reactive cross-pod forwarding under TOPOGUARD+ over the -scalek
+// arities (k=16 builds 320 switches, k=32 builds 1280) on the given
+// shard count.
 func printScale(seed int64, shards int, scaleK string, rounds int, parallel bool, tracePath string) error {
-	if shards <= 0 {
-		if tracePath != "" {
-			return fmt.Errorf("-trace requires the sharded scale path (-shards >= 1)")
-		}
-		header("SCALE: k-ary fat-tree under TOPOGUARD+ (discovery + cross-pod traffic)")
-		fmt.Printf("%-4s %-10s %-7s %-8s %-8s %-8s %-10s %s\n",
-			"k", "switches", "hosts", "trunks", "links", "pings", "events", "wall")
-		for _, k := range []int{4, 8} {
-			r, err := core.RunScale(seed, k)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-4d %-10d %-7d %-8d %-8d %d/%-6d %-10d %s\n",
-				r.K, r.Switches, r.Hosts, r.Trunks, r.DirectedLinks,
-				r.PingsAnswered, r.PingsSent, r.Events, r.Wall.Truncate(time.Millisecond))
-		}
-		fmt.Println("(all trunks discovered in both directions; wall time is host-dependent)")
-		return nil
-	}
-
 	ks, err := parseInts(scaleK)
 	if err != nil {
 		return fmt.Errorf("-scalek: %w", err)
 	}
-	header(fmt.Sprintf("SCALE (sharded): fat-tree under TOPOGUARD+, %d shard(s), parallel=%v, %d rounds",
+	header(fmt.Sprintf("SCALE: fat-tree under TOPOGUARD+, %d shard(s), parallel=%v, %d rounds",
 		shards, parallel, rounds))
 	fmt.Printf("%-4s %-10s %-7s %-8s %-8s %-8s %-8s %-10s %-10s %s\n",
 		"k", "switches", "hosts", "trunks", "xshard", "links", "pings", "events", "lookahead", "wall")

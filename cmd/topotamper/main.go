@@ -101,7 +101,8 @@ func run(args []string) error {
 
 	var recorder *spantrace.Recorder
 	if *tracePath != "" {
-		recorder = s.Net.EnableTrace(0)
+		s.Net.EnableTrace(0)
+		recorder = s.Net.ShardTracer(0)
 	}
 
 	var capture *trace.Log
@@ -112,13 +113,13 @@ func run(args []string) error {
 			return err
 		}
 		defer f.Close()
-		pcap, err = trace.NewPcap(s.Net.Kernel, f)
+		pcap, err = trace.NewPcap(s.Net.ControlKernel(), f)
 		if err != nil {
 			return err
 		}
 	}
 	if *traceFrames > 0 {
-		capture = trace.NewLog(s.Net.Kernel, *traceFrames)
+		capture = trace.NewLog(s.Net.ControlKernel(), *traceFrames)
 	}
 	if capture != nil || pcap != nil {
 		for _, name := range []string{core.HostAttackerA, core.HostAttackerB, core.HostVictim} {
@@ -191,7 +192,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if err := exportObservability(s.Net.Metrics(), *metricsPath, *eventsPath); err != nil {
+	if err := exportObservability(s.Net.MergedMetrics(), *metricsPath, *eventsPath); err != nil {
 		return err
 	}
 	return nil
@@ -378,7 +379,7 @@ func runTrial(scenarioName, defenseName, attackName string, duration time.Durati
 	out.links = len(s.Controller().Links())
 	out.hosts = len(s.Controller().Hosts())
 	out.alerts = len(s.Controller().Alerts())
-	return out, s.Net.Metrics(), nil
+	return out, s.Net.MergedMetrics(), nil
 }
 
 // runFleet runs the same configuration across consecutive seeds on the
@@ -438,7 +439,7 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 		if s.OOB == nil || a == nil || b == nil {
 			return fmt.Errorf("%s needs a scenario with colluding hosts and an OOB channel (fig1, fig9)", attackName)
 		}
-		attack.NewOOBFabrication(s.Net.Kernel, a, b, s.OOB, attack.FabricationConfig{
+		attack.NewOOBFabrication(s.Net.ControlKernel(), a, b, s.OOB, attack.FabricationConfig{
 			UseAmnesia:      attackName != "naive-fabrication",
 			BridgeDataplane: true,
 		}).Start()
@@ -446,19 +447,19 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 		if a == nil || b == nil {
 			return fmt.Errorf("inband-amnesia needs colluding hosts (fig9)")
 		}
-		attack.NewInBandFabrication(s.Net.Kernel, a, b, 0).Start()
+		attack.NewInBandFabrication(s.Net.ControlKernel(), a, b, 0).Start()
 	case "naive-hijack":
 		victim := s.Net.Host(core.HostVictim)
 		if victim == nil || a == nil {
 			return fmt.Errorf("naive-hijack needs the fig2 scenario")
 		}
-		attack.NaiveHijack(s.Net.Kernel, a, victim.MAC(), victim.IP())
+		attack.NaiveHijack(s.Net.ControlKernel(), a, victim.MAC(), victim.IP())
 	case "port-probing":
 		victim := s.Net.Host(core.HostVictim)
 		if victim == nil || a == nil || scenarioName != "fig2" {
 			return fmt.Errorf("port-probing needs the fig2 scenario")
 		}
-		hj := attack.NewHijack(s.Net.Kernel, a, victim.IP(), attack.DefaultHijackConfig(core.AttackerLocFig2()))
+		hj := attack.NewHijack(s.Net.ControlKernel(), a, victim.IP(), attack.DefaultHijackConfig(core.AttackerLocFig2()))
 		s.Controller().Register(hj)
 		hj.Start(func(tl attack.Timeline) {
 			if ackAt != nil {
@@ -467,7 +468,7 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 			logf("[attack] hijack complete: controller ack at %s", tl.ControllerAck.Format("15:04:05.000"))
 		})
 		// The victim migrates 10 virtual seconds in.
-		s.Net.Kernel.Schedule(10*time.Second, func() {
+		s.Net.ControlKernel().Schedule(10*time.Second, func() {
 			logf("[victim] beginning migration (interface down)")
 			victim.InterfaceDown()
 		})
@@ -497,7 +498,7 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 		if victim == nil || client == nil || a == nil {
 			return fmt.Errorf("alert-flood needs the fig2 scenario")
 		}
-		attack.NewAlertFlood(s.Net.Kernel, []*dataplane.Host{a}, []attack.SpoofTarget{
+		attack.NewAlertFlood(s.Net.ControlKernel(), []*dataplane.Host{a}, []attack.SpoofTarget{
 			{MAC: victim.MAC(), IP: victim.IP()},
 			{MAC: client.MAC(), IP: client.IP()},
 		}, 10*time.Millisecond).Start()

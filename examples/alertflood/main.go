@@ -38,7 +38,7 @@ func run() error {
 	}
 
 	fmt.Println("spoofing the identities of two legitimate hosts, 100 frames/second...")
-	flood := attack.NewAlertFlood(s.Net.Kernel, []*dataplane.Host{attacker},
+	flood := attack.NewAlertFlood(s.Net.ControlKernel(), []*dataplane.Host{attacker},
 		[]attack.SpoofTarget{
 			{MAC: victim.MAC(), IP: victim.IP()},
 			{MAC: client.MAC(), IP: client.IP()},

@@ -26,14 +26,14 @@ func run() error {
 	s := core.NewFig9Testbed(21, core.TopoGuardPlus())
 	defer s.Close()
 
-	capture := trace.NewLog(s.Net.Kernel, 8)
+	capture := trace.NewLog(s.Net.ControlKernel(), 8)
 
 	fmt.Println("== phase 1: calibration ==")
 	if err := s.Run(60 * time.Second); err != nil {
 		return err
 	}
 	perLink := map[string]*stats.DurationSeries{}
-	for _, sample := range s.LLI.Samples() {
+	for _, sample := range s.LLI().Samples() {
 		key := sample.Link.String()
 		if perLink[key] == nil {
 			perLink[key] = &stats.DurationSeries{}
@@ -49,20 +49,20 @@ func run() error {
 		fmt.Printf("  %-22s %s\n", k, perLink[k].Summary())
 	}
 	for _, dpid := range s.Controller().Switches() {
-		if oneWay, ok := s.LLI.ControlLatency(dpid); ok {
+		if oneWay, ok := s.LLI().ControlLatency(dpid); ok {
 			fmt.Printf("  control link 0x%x: one-way estimate %s (avg of latest 3 probes)\n", dpid, oneWay)
 		}
 	}
 
 	fmt.Println("\n== phase 2: the out-of-band attack begins at t=60s ==")
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
 	// The attack installs its own capture hooks once its amnesia resets
 	// settle; tap on top of them shortly after so the log shows the
 	// relayed probes in flight.
-	s.Net.Kernel.Schedule(2*time.Second, func() {
+	s.Net.ControlKernel().Schedule(2*time.Second, func() {
 		capture.TapHost(s.Net.Host(core.HostAttackerB), "attackerB")
 	})
 	if err := s.Run(90 * time.Second); err != nil {
@@ -84,7 +84,7 @@ func run() error {
 
 	fmt.Println("\n== phase 3: why the threshold cannot be gamed ==")
 	flagged, verified := 0, 0
-	for _, sample := range s.LLI.Samples() {
+	for _, sample := range s.LLI().Samples() {
 		if sample.Link == link || sample.Link == link.Reverse() {
 			if sample.Flagged {
 				flagged++

@@ -64,7 +64,7 @@ func naiveVsTopoGuard() error {
 	if err := warm(s); err != nil {
 		return err
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: false})
 	fab.Start()
@@ -81,7 +81,7 @@ func amnesiaVsBaselines() error {
 	if err := warm(s); err != nil {
 		return err
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true, BridgeDataplane: true})
 	fab.Start()
@@ -118,7 +118,7 @@ func amnesiaVsTGPlus() error {
 	if err := s.Run(60 * time.Second); err != nil {
 		return err
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()

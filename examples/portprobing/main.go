@@ -48,7 +48,7 @@ func run() error {
 	// every 50ms until the victim disappears.
 	cfg := attack.DefaultHijackConfig(core.AttackerLocFig2())
 	cfg.ToolOverhead = nil // mechanism-mode timings for a readable timeline
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victimIP, cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victimIP, cfg)
 	s.Controller().Register(hj)
 
 	var done bool
@@ -60,8 +60,8 @@ func run() error {
 	fmt.Printf("\ncalibrated probe timeout: %s (scans so far: %d)\n", hj.ProbeTimeout(), hj.ScanCount())
 
 	// The victim begins a live migration.
-	downAt := s.Net.Kernel.Now()
-	fmt.Printf("victim interface down at t=%s\n", s.Net.Kernel.Elapsed())
+	downAt := s.Net.ControlKernel().Now()
+	fmt.Printf("victim interface down at t=%s\n", s.Net.ControlKernel().Elapsed())
 	victim.InterfaceDown()
 	if err := s.Run(5 * time.Second); err != nil {
 		return err
@@ -92,7 +92,7 @@ func run() error {
 	// Eventually the real victim completes its migration and talks again:
 	// the same identity is now active at two ports and the defenses notice.
 	fmt.Println("\nvictim completes its migration and rejoins at 0x2:4 ...")
-	reborn := s.Net.MoveHost("victim-returned", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
+	reborn := s.Net.AddHost("victim-returned", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
 	// A freshly migrated host announces itself with a gratuitous ARP;
 	// being broadcast, it always reaches the controller.
 	reborn.Send(packet.NewARPRequest(victimMAC, victimIP, victimIP))

@@ -63,6 +63,6 @@ func run() error {
 
 	fmt.Printf("\nflow rules installed: s1=%d s2=%d\n",
 		net.Switch(0x1).Table().Len(), net.Switch(0x2).Table().Len())
-	fmt.Printf("virtual time elapsed: %s (wall time: microseconds)\n", net.Kernel.Elapsed())
+	fmt.Printf("virtual time elapsed: %s (wall time: microseconds)\n", net.ControlKernel().Elapsed())
 	return nil
 }

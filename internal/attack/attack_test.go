@@ -45,7 +45,7 @@ func TestNaiveLinkFabricationDetectedByTopoGuard(t *testing.T) {
 	defer s.Close()
 	warmFig1(t, s)
 
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: false})
 	fab.Start()
@@ -67,11 +67,11 @@ func TestPortAmnesiaFabricationBypassesTopoGuardAndSphinx(t *testing.T) {
 
 	a := s.Net.Host(core.HostAttackerA)
 	b := s.Net.Host(core.HostAttackerB)
-	if s.TopoGuard.Profile(controller.PortRef{DPID: 0x1, Port: 1}) != topoguard.HostPort {
+	if s.TopoGuard().Profile(controller.PortRef{DPID: 0x1, Port: 1}) != topoguard.HostPort {
 		t.Fatal("precondition: attacker A port should be HOST-profiled")
 	}
 
-	fab := attack.NewOOBFabrication(s.Net.Kernel, a, b, s.OOB,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(), a, b, s.OOB,
 		attack.FabricationConfig{UseAmnesia: true, BridgeDataplane: true})
 	fab.Start()
 	if err := s.Run(40 * time.Second); err != nil {
@@ -100,7 +100,7 @@ func TestFabricatedLinkCarriesManInTheMiddleTraffic(t *testing.T) {
 	s := core.NewFig1Scenario(3, core.BothBaselines())
 	defer s.Close()
 	warmFig1(t, s)
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true, BridgeDataplane: true})
 	fab.Start()
@@ -137,7 +137,7 @@ func TestFabricatedLinkCarriesManInTheMiddleTraffic(t *testing.T) {
 	// Faithful forwarding keeps switch counters consistent: SPHINX's flow
 	// check stays quiet (Section V-A).
 	done := false
-	s.Sphinx.CheckFlowConsistency(func() { done = true })
+	s.Sphinx().CheckFlowConsistency(func() { done = true })
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBlackholeBridgeCaughtBySphinxCounters(t *testing.T) {
 	s := core.NewFig1Scenario(4, core.BothBaselines())
 	defer s.Close()
 	warmFig1(t, s)
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true, BridgeDataplane: true, DropDataplane: true})
 	fab.Start()
@@ -174,7 +174,7 @@ func TestBlackholeBridgeCaughtBySphinxCounters(t *testing.T) {
 		}
 	}
 	done := false
-	s.Sphinx.CheckFlowConsistency(func() { done = true })
+	s.Sphinx().CheckFlowConsistency(func() { done = true })
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOOBAmnesiaDetectedByLLINotCMM(t *testing.T) {
 	if err := s.Run(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
@@ -239,7 +239,7 @@ func TestOOBAmnesiaUndetectedWithoutLLI(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
@@ -276,7 +276,7 @@ func TestInBandAmnesiaBypassesTopoGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(50 * time.Second); err != nil {
@@ -301,7 +301,7 @@ func TestInBandAmnesiaDetectedByCMM(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(50 * time.Second); err != nil {
@@ -346,7 +346,7 @@ func TestPortProbingHijackBypassesDefenses(t *testing.T) {
 
 	cfg := attack.DefaultHijackConfig(core.AttackerLocFig2())
 	cfg.ToolOverhead = nil // mechanism-only timing for this test
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victimIP, cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victimIP, cfg)
 	s.Controller().Register(hj)
 
 	var tl attack.Timeline
@@ -361,7 +361,7 @@ func TestPortProbingHijackBypassesDefenses(t *testing.T) {
 
 	// The victim begins a migration (e.g. live VM migration): interface
 	// down, Port-Down follows, and the race window opens.
-	victimDownAt := s.Net.Kernel.Now()
+	victimDownAt := s.Net.ControlKernel().Now()
 	victim.InterfaceDown()
 	if err := s.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestVictimReturnTriggersAlerts(t *testing.T) {
 
 	cfg := attack.DefaultHijackConfig(core.AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victimIP, cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victimIP, cfg)
 	s.Controller().Register(hj)
 	completed := false
 	hj.Start(func(attack.Timeline) { completed = true })
@@ -438,7 +438,7 @@ func TestVictimReturnTriggersAlerts(t *testing.T) {
 
 	// The victim completes its migration at switch 2 port 4 and starts
 	// talking: the controller now sees the same identity at two places.
-	reborn := s.Net.MoveHost(core.HostVictim+"-new", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
+	reborn := s.Net.AddHost(core.HostVictim+"-new", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
 	reborn.SendUDP(s.Net.Host(core.HostClient).MAC(), s.Net.Host(core.HostClient).IP(), 100, 200, []byte("im-back"))
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestNaiveHijackBlockedAndAlerted(t *testing.T) {
 	victimMAC := victim.MAC()
 	victimLoc := controller.PortRef{DPID: 0x1, Port: 2}
 
-	attack.NaiveHijack(s.Net.Kernel, attacker, victimMAC, victim.IP())
+	attack.NaiveHijack(s.Net.ControlKernel(), attacker, victimMAC, victim.IP())
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestPostConditionCatchesHijackAfterUnrelatedPortDown(t *testing.T) {
 	}
 	// Attacker claims the identity: pre-condition passes (a Port-Down
 	// exists), but the victim still answers at its old port.
-	attack.NaiveHijack(s.Net.Kernel, attacker, victimMAC, victimIP)
+	attack.NaiveHijack(s.Net.ControlKernel(), attacker, victimMAC, victimIP)
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestAlertFloodDrownsOperator(t *testing.T) {
 		{MAC: s.Net.Host(core.HostClient).MAC(), IP: s.Net.Host(core.HostClient).IP()},
 		{MAC: packet.MustMAC("de:ad:be:ef:00:01"), IP: packet.MustIPv4("10.0.9.1")},
 	}
-	flood := attack.NewAlertFlood(s.Net.Kernel, []*dataplane.Host{attacker}, victims, 20*time.Millisecond)
+	flood := attack.NewAlertFlood(s.Net.ControlKernel(), []*dataplane.Host{attacker}, victims, 20*time.Millisecond)
 	flood.Start()
 	if err := s.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -545,7 +545,7 @@ func TestHijackWithToolOverheadSlowerButSucceeds(t *testing.T) {
 	victim := s.Net.Host(core.HostVictim)
 	attacker := s.Net.Host(core.HostAttackerA)
 
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), attack.DefaultHijackConfig(core.AttackerLocFig2()))
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), attack.DefaultHijackConfig(core.AttackerLocFig2()))
 	s.Controller().Register(hj)
 	var tl attack.Timeline
 	completed := false
@@ -553,7 +553,7 @@ func TestHijackWithToolOverheadSlowerButSucceeds(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	downAt := s.Net.Kernel.Now()
+	downAt := s.Net.ControlKernel().Now()
 	victim.InterfaceDown()
 	if err := s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)

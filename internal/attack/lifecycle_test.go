@@ -29,7 +29,7 @@ func TestLegitimateMigrationRaisesNoAlerts(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	reborn := s.Net.MoveHost("victim-new", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
+	reborn := s.Net.AddHost("victim-new", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
 	reborn.Send(packet.NewARPRequest(victimMAC, victimIP, victimIP))
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestFabricatedLinkDiesWhenRelayingStops(t *testing.T) {
 	}
 	a := s.Net.Host(core.HostAttackerA)
 	b := s.Net.Host(core.HostAttackerB)
-	fab := attack.NewOOBFabrication(s.Net.Kernel, a, b, s.OOB,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(), a, b, s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
 	if err := s.Run(40 * time.Second); err != nil {
@@ -98,7 +98,7 @@ func TestAmnesiaTooShortFailsAgainstTopoGuard(t *testing.T) {
 	s := core.NewFig1Scenario(63, core.TopoGuardOnly())
 	defer s.Close()
 	warmFig1(t, s)
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(core.HostAttackerA), s.Net.Host(core.HostAttackerB), s.OOB,
 		attack.FabricationConfig{
 			UseAmnesia: true,
@@ -127,7 +127,7 @@ func TestHijackAgainstUndefendedController(t *testing.T) {
 	attacker := s.Net.Host(core.HostAttackerA)
 	cfg := attack.DefaultHijackConfig(core.AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), cfg)
 	s.Controller().Register(hj)
 	completed := false
 	hj.Start(func(attack.Timeline) { completed = true })

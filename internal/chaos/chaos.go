@@ -313,7 +313,7 @@ type Injector struct {
 // NewInjector binds an injector to a network. Fault counters land in the
 // network's metrics registry under chaos_*.
 func NewInjector(net *netsim.Network, seed int64) *Injector {
-	reg := net.Metrics()
+	reg := net.ShardMetrics(0)
 	m := injMetrics{
 		reg:     reg,
 		flaps:   reg.Counter("chaos_carrier_flaps_total"),
@@ -324,7 +324,7 @@ func NewInjector(net *netsim.Network, seed int64) *Injector {
 	}
 	return &Injector{
 		net:    net,
-		kernel: net.Kernel,
+		kernel: net.ControlKernel(),
 		rng:    rand.New(rand.NewSource(seed)),
 		m:      m,
 	}

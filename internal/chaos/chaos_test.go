@@ -134,7 +134,7 @@ func TestFlapStormEvictsAndRecovers(t *testing.T) {
 	if !linksEqual(ctl.Links(), baseline) {
 		t.Fatalf("topology did not recover after flap storm: %v", ctl.Links())
 	}
-	if got := tb.Net.Metrics().Counter("chaos_carrier_flaps_total").Value(); got != 4 {
+	if got := tb.Net.MergedMetrics().Counter("chaos_carrier_flaps_total").Value(); got != 4 {
 		t.Fatalf("flap counter = %d, want 4", got)
 	}
 }

@@ -112,7 +112,7 @@ func TestFailoverReconverges(t *testing.T) {
 		t.Fatalf("%d spurious alerts during failover", n)
 	}
 	// The histogram observed exactly this failover.
-	hist := tb.Net.Metrics().Histogram(cluster.MetricFailover)
+	hist := tb.Net.MergedMetrics().Histogram(cluster.MetricFailover)
 	if hist.Count() != 1 {
 		t.Fatalf("cluster_failover_ns count = %d, want 1", hist.Count())
 	}
@@ -126,7 +126,8 @@ func TestFailoverSpanTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	tr := tb.Net.EnableTrace(0)
+	tb.Net.EnableTrace(0)
+	tr := tb.Net.ShardTracer(0)
 	tb.Cluster.SetTracer(tr)
 	if err := tb.Net.Run(40 * time.Second); err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 		dataplane.WithOpenTCPPorts(80))
 
 	ccfg := cluster.DefaultConfig(seed)
-	ccfg.Metrics = net.Metrics()
+	ccfg.Metrics = net.ShardMetrics(0)
 	cl := cluster.New(net, ccfg)
 
 	tb := &ClusterTestbed{Net: net, Cluster: cl}
@@ -78,8 +78,8 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 			// Extra replicas share the network's registry so merged
 			// metrics aggregate the whole control plane, and the same
 			// keychain so every replica verifies every other's LLDP.
-			ctl = controller.New(net.Kernel,
-				controller.WithMetrics(net.Metrics()),
+			ctl = controller.New(net.ControlKernel(),
+				controller.WithMetrics(net.ShardMetrics(0)),
 				controller.WithKeychain(kc),
 				controller.WithLLDPTimestamps(),
 			)
@@ -186,7 +186,7 @@ func runClusterTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error
 		return TrialResult{}, nil, err
 	}
 	res.PendingLeaked = cl.PendingProbeTotal()
-	return res, net.Metrics(), nil
+	return res, net.MergedMetrics(), nil
 }
 
 // clusterRecovered reports whether every replica is alive, at least one

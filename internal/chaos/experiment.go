@@ -270,7 +270,7 @@ func runTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error) {
 		return TrialResult{}, nil, err
 	}
 	res.PendingLeaked = ctl.PendingProbes().Total()
-	return res, net.Metrics(), nil
+	return res, net.MergedMetrics(), nil
 }
 
 // linksEqual compares two sorted link snapshots.

@@ -70,8 +70,8 @@ func runOneLLIAblation(seed int64, k float64, window int, runFor time.Duration) 
 	if err := s.Run(time.Minute); err != nil {
 		return row, err
 	}
-	attackStart := s.Net.Kernel.Now()
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	attackStart := s.Net.ControlKernel().Now()
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
@@ -80,7 +80,7 @@ func runOneLLIAblation(seed int64, k float64, window int, runFor time.Duration) 
 	}
 
 	fabLink := FabricatedLinkFig9()
-	for _, sample := range s.LLI.Samples() {
+	for _, sample := range s.LLI().Samples() {
 		isFab := sample.Link == fabLink || sample.Link == fabLink.Reverse()
 		if isFab {
 			if sample.Flagged && !row.Detected {
@@ -139,7 +139,7 @@ func RunControlAveragingAblation(seed int64, depths []int, runFor time.Duration)
 			return ControlAveragingRow{}, err
 		}
 		var series stats.DurationSeries
-		for _, sample := range s.LLI.Samples() {
+		for _, sample := range s.LLI().Samples() {
 			series.Add(sample.Latency)
 		}
 		return ControlAveragingRow{

@@ -18,7 +18,7 @@ import (
 )
 
 // ClusterScenario is the Figure 9 testbed under a replicated control
-// plane on a sharded network: two controller replicas on the control
+// plane, on one or more shards: two controller replicas on the control
 // shard, switches 1-2 mastered by replica 0 and switches 3-4 by
 // replica 1, every replica running its own copy of the selected defense
 // stack. The mastership split is chosen so the fabricated link's two
@@ -29,7 +29,7 @@ import (
 // Trunks use the steady (burst-free) latency so a defense alert in a
 // cluster experiment is evidence, never an IQR-tail artifact.
 type ClusterScenario struct {
-	Net     *netsim.ShardedNetwork
+	Net     *netsim.Network
 	Cluster *cluster.Cluster
 	Def     Defenses
 	// OOB is the attackers' side channel (unwired until an attack

@@ -101,7 +101,7 @@ func TestMetricsSnapshotByteIdentical(t *testing.T) {
 		if err := s.Run(30 * time.Second); err != nil {
 			return struct{}{}, nil, err
 		}
-		return struct{}{}, s.Net.Metrics(), nil
+		return struct{}{}, s.Net.MergedMetrics(), nil
 	}
 	render := func(workers int) string {
 		_, merged, err := exp.RunInstrumented(seeds, workers, trial)

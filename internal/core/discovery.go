@@ -69,7 +69,7 @@ const (
 // would flatter the event-driven protocol.
 func RunDiscoveryLoad(seed int64, k int, proto controller.DiscoveryProtocol) (*DiscoveryLoadResult, error) {
 	wallStart := time.Now()
-	s, topo := NewFatTreeScenario(seed, k, NoDefenses(), protocolOpts(proto)...)
+	s, topo := NewShardedFatTreeScenario(seed, k, 1, NoDefenses(), protocolOpts(proto)...)
 	defer s.Close()
 
 	res := &DiscoveryLoadResult{
@@ -92,14 +92,14 @@ func RunDiscoveryLoad(seed int64, k int, proto controller.DiscoveryProtocol) (*D
 	}
 
 	probes0, bytes0 := s.Controller().DiscoveryStats()
-	events0 := s.Net.Kernel.Executed()
+	events0 := s.Net.Group.Executed()
 	if err := s.Run(discoveryLoadMeasure); err != nil {
 		return nil, err
 	}
 	probes1, bytes1 := s.Controller().DiscoveryStats()
 	res.Probes = probes1 - probes0
 	res.ProbeBytes = bytes1 - bytes0
-	res.Events = s.Net.Kernel.Executed() - events0
+	res.Events = s.Net.Group.Executed() - events0
 	res.ProbesPerSec = float64(res.Probes) / discoveryLoadMeasure.Seconds()
 	res.EventsPerSec = float64(res.Events) / discoveryLoadMeasure.Seconds()
 	res.BFDSessions = s.Controller().BFDSessionCount()
@@ -139,7 +139,7 @@ type evictionEntry struct {
 func (r *evictionLog) ModuleName() string { return "experiment/eviction-log" }
 
 func (r *evictionLog) ObserveLinkRemoved(l controller.Link, reason string) {
-	r.entries = append(r.entries, evictionEntry{at: r.s.Net.Kernel.Elapsed(), link: l, reason: reason})
+	r.entries = append(r.entries, evictionEntry{at: r.s.Net.ControlKernel().Elapsed(), link: l, reason: reason})
 }
 
 // linkAddLog records accepted link updates with their virtual timestamps.
@@ -152,7 +152,7 @@ func (r *linkAddLog) ModuleName() string { return "experiment/link-add-log" }
 
 func (r *linkAddLog) ObserveLink(ev *controller.LinkEvent) {
 	if ev.IsNew {
-		r.entries = append(r.entries, evictionEntry{at: r.s.Net.Kernel.Elapsed(), link: ev.Link})
+		r.entries = append(r.entries, evictionEntry{at: r.s.Net.ControlKernel().Elapsed(), link: ev.Link})
 	}
 }
 
@@ -164,7 +164,7 @@ func (r *linkAddLog) ObserveLink(ev *controller.LinkEvent) {
 // (up to LinkTimeout after the last accepted probe); sOFTDP's per-link
 // BFD watch fires within its ~300 ms detect window.
 func RunDiscoveryDetection(seed int64, proto controller.DiscoveryProtocol) (*DiscoveryDetectionResult, error) {
-	s, topo := NewFatTreeScenario(seed, 4, TopoGuardPlus(), protocolOpts(proto)...)
+	s, topo := NewShardedFatTreeScenario(seed, 4, 1, TopoGuardPlus(), protocolOpts(proto)...)
 	defer s.Close()
 
 	res := &DiscoveryDetectionResult{Protocol: proto.String(), Trunks: len(s.Net.Trunks())}
@@ -188,7 +188,7 @@ func RunDiscoveryDetection(seed int64, proto controller.DiscoveryProtocol) (*Dis
 	rev := fwd.Reverse()
 	wire := s.Net.Trunks()[0]
 
-	faultAt := s.Net.Kernel.Elapsed()
+	faultAt := s.Net.ControlKernel().Elapsed()
 	wire.SetLossRate(1.0)
 	if err := s.Run(60 * time.Second); err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func RunDiscoveryDetection(seed int64, proto controller.DiscoveryProtocol) (*Dis
 		res.Detection = res.DetectionRev
 	}
 
-	repairAt := s.Net.Kernel.Elapsed()
+	repairAt := s.Net.ControlKernel().Elapsed()
 	adl.entries = nil
 	wire.SetLossRate(0)
 	if err := s.Run(30 * time.Second); err != nil {

@@ -93,7 +93,7 @@ func runOneHijack(seed int64, withToolOverhead bool) (*hijackRun, time.Duration,
 	if !withToolOverhead {
 		cfg.ToolOverhead = nil
 	}
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), cfg)
 	s.Controller().Register(hj)
 	var result *hijackRun
 	hj.Start(func(tl attack.Timeline) {
@@ -105,11 +105,11 @@ func runOneHijack(seed int64, withToolOverhead bool) (*hijackRun, time.Duration,
 	if err := s.Run(3 * time.Second); err != nil {
 		return nil, 0, err
 	}
-	phase := time.Duration(s.Net.Kernel.Rand().Int63n(int64(cfg.ScanInterval)))
+	phase := time.Duration(s.Net.ControlKernel().Rand().Int63n(int64(cfg.ScanInterval)))
 	if err := s.Run(phase); err != nil {
 		return nil, 0, err
 	}
-	victimDown := s.Net.Kernel.Now()
+	victimDown := s.Net.ControlKernel().Now()
 	victim.InterfaceDown()
 	if err := s.Run(10 * time.Second); err != nil {
 		return nil, 0, err
@@ -153,7 +153,7 @@ func RunFig4(seed int64, trials int) *stats.DurationSeries {
 	sampler := dataplane.DefaultIdentityChange()
 	var series stats.DurationSeries
 	for i := 0; i < trials; i++ {
-		series.Add(sampler.Sample(s.Net.Kernel.Rand()))
+		series.Add(sampler.Sample(s.Net.ControlKernel().Rand()))
 	}
 	return &series
 }

@@ -94,12 +94,12 @@ func RunInducedMigration(seed int64) (*InducedMigrationResult, error) {
 	// The physical machine hosting the victim also hosts the attacker's
 	// co-located guest (which is NOT the SDN attacker host: it exists
 	// only to burn the shared resource).
-	hv := hypervisor.New(s.Net.Kernel, hypervisor.DefaultConfig(), hypervisor.Callbacks{
+	hv := hypervisor.New(s.Net.ControlKernel(), hypervisor.DefaultConfig(), hypervisor.Callbacks{
 		Down: func(vm string) {
 			if vm != HostVictim {
 				return
 			}
-			res.MigrationStartedAt = s.Net.Kernel.Now()
+			res.MigrationStartedAt = s.Net.ControlKernel().Now()
 			victim.InterfaceDown()
 		},
 		Up: func(vm string, downtime time.Duration) {
@@ -107,8 +107,8 @@ func RunInducedMigration(seed int64) (*InducedMigrationResult, error) {
 				return
 			}
 			res.Downtime = downtime
-			res.VictimReturnedAt = s.Net.Kernel.Now()
-			reborn := s.Net.MoveHost(HostVictim+"-migrated", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
+			res.VictimReturnedAt = s.Net.ControlKernel().Now()
+			reborn := s.Net.AddHost(HostVictim+"-migrated", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
 			reborn.Send(packet.NewARPRequest(victimMAC, victimIP, victimIP))
 		},
 	})
@@ -119,7 +119,7 @@ func RunInducedMigration(seed int64) (*InducedMigrationResult, error) {
 	// Arm the port-probing automaton before inducing anything.
 	cfg := attack.DefaultHijackConfig(AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victimIP, cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victimIP, cfg)
 	s.Controller().Register(hj)
 	hj.Start(func(tl attack.Timeline) { res.HijackCompletedAt = tl.ControllerAck })
 	if err := s.Run(3 * time.Second); err != nil {
@@ -128,7 +128,7 @@ func RunInducedMigration(seed int64) (*InducedMigrationResult, error) {
 
 	// The resource DoS: cache dirtying / heavy disk I/O from the
 	// co-located guest.
-	res.LoadRaisedAt = s.Net.Kernel.Now()
+	res.LoadRaisedAt = s.Net.ControlKernel().Now()
 	if err := hv.SetLoad("colo-ddos", 0.9); err != nil {
 		return nil, err
 	}

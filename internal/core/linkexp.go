@@ -30,7 +30,7 @@ func RunFig10(seed int64, samplesPerLink int) (map[controller.Link]*stats.Durati
 	}
 	need := func() bool {
 		for _, l := range trunks {
-			if len(s.LLI.SamplesForLink(l)) < samplesPerLink {
+			if len(s.LLI().SamplesForLink(l)) < samplesPerLink {
 				return true
 			}
 		}
@@ -45,7 +45,7 @@ func RunFig10(seed int64, samplesPerLink int) (map[controller.Link]*stats.Durati
 	out := make(map[controller.Link]*stats.DurationSeries, len(trunks))
 	for _, l := range trunks {
 		series := &stats.DurationSeries{}
-		for i, sample := range s.LLI.SamplesForLink(l) {
+		for i, sample := range s.LLI().SamplesForLink(l) {
 			if i >= samplesPerLink {
 				break
 			}
@@ -86,12 +86,12 @@ func RunFig11(seed int64, total time.Duration) (*Fig11Result, error) {
 	}
 	s := NewFig9Testbed(seed, TopoGuardPlus())
 	defer s.Close()
-	start := s.Net.Kernel.Now()
+	start := s.Net.ControlKernel().Now()
 
 	if err := s.Run(time.Minute); err != nil {
 		return nil, err
 	}
-	fab := attack.NewOOBFabrication(s.Net.Kernel,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), s.OOB,
 		attack.FabricationConfig{UseAmnesia: true})
 	fab.Start()
@@ -104,7 +104,7 @@ func RunFig11(seed int64, total time.Duration) (*Fig11Result, error) {
 		FabricatedBlocked: !s.Controller().HasLink(FabricatedLinkFig9()) &&
 			!s.Controller().HasLink(FabricatedLinkFig9().Reverse()),
 	}
-	for _, sample := range s.LLI.Samples() {
+	for _, sample := range s.LLI().Samples() {
 		res.Points = append(res.Points, Fig11Point{
 			At:        sample.At.Sub(start),
 			Link:      sample.Link,
@@ -127,7 +127,7 @@ func RunFig12(seed int64, total time.Duration) ([]controller.Alert, error) {
 	if err := s.Run(2 * time.Second); err != nil {
 		return nil, err
 	}
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(total); err != nil {
@@ -197,7 +197,7 @@ func RunInBandLatency(seed int64, total time.Duration) (*InBandLatencyResult, er
 	if err := s.Run(2 * time.Second); err != nil {
 		return nil, err
 	}
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(total); err != nil {

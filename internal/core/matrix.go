@@ -159,7 +159,7 @@ func fabricationCell(cfg attack.FabricationConfig) matrixCell {
 				return Failed, err
 			}
 		}
-		fab := attack.NewOOBFabrication(s.Net.Kernel,
+		fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
 			s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), s.OOB, cfg)
 		fab.Start()
 		if err := s.Run(40 * time.Second); err != nil {
@@ -184,7 +184,7 @@ func runInBandCell(def Defenses, seed int64, ctlOpts ...controller.Option) (Verd
 			return Failed, err
 		}
 	}
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(50 * time.Second); err != nil {
@@ -216,7 +216,7 @@ func runNaiveHijackCell(def Defenses, seed int64, ctlOpts ...controller.Option) 
 	// record whether the binding EVER landed on the attacker's port.
 	rec := &moveSeen{mac: victimMAC, loc: AttackerLocFig2()}
 	s.Controller().Register(rec)
-	attack.NaiveHijack(s.Net.Kernel, attacker, victimMAC, victim.IP())
+	attack.NaiveHijack(s.Net.ControlKernel(), attacker, victimMAC, victim.IP())
 	if err := s.Run(3 * time.Second); err != nil {
 		return Failed, err
 	}
@@ -247,7 +247,7 @@ func runPortProbingCell(def Defenses, seed int64, ctlOpts ...controller.Option) 
 
 	cfg := attack.DefaultHijackConfig(AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), cfg)
 	s.Controller().Register(hj)
 	completed := false
 	hj.Start(func(attack.Timeline) { completed = true })

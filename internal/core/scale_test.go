@@ -51,7 +51,7 @@ func TestRingBroadcastNoStorm(t *testing.T) {
 	if err := s.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Net.Kernel.Executed()
+	before := s.Net.ControlKernel().Executed()
 	rxBefore := make(map[string]uint64, n)
 	for dpid := 1; dpid <= n; dpid++ {
 		name := fmt.Sprintf("h%d", dpid)
@@ -65,7 +65,7 @@ func TestRingBroadcastNoStorm(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	delta := s.Net.Kernel.Executed() - before
+	delta := s.Net.ControlKernel().Executed() - before
 	if delta > 2000 {
 		t.Fatalf("broadcast cost %d events: storming", delta)
 	}

@@ -55,14 +55,14 @@ func runScanAtRate(seed int64, typ probe.Type, ratePerSec float64, duration time
 	victim := s.Net.Host(HostVictim)
 	attacker := s.Net.Host(HostAttackerA)
 
-	sensor := ids.NewSensor(s.Net.Kernel)
+	sensor := ids.NewSensor(s.Net.ControlKernel())
 	sensor.TapHost(victim)
 
-	p := probe.New(s.Net.Kernel, attacker, typ, probe.WithOverhead(sim.Const(0)))
+	p := probe.New(s.Net.ControlKernel(), attacker, typ, probe.WithOverhead(sim.Const(0)))
 	target := probe.Target{MAC: victim.MAC(), IP: victim.IP(), Port: 80}
 	interval := time.Duration(float64(time.Second) / ratePerSec)
 	scans := 0
-	ticker := s.Net.Kernel.NewTicker(interval, func() {
+	ticker := s.Net.ControlKernel().NewTicker(interval, func() {
 		scans++
 		_ = p.Probe(target, 200*time.Millisecond, func(probe.Result) {})
 	})
@@ -139,7 +139,7 @@ func RunAlertFlood(seed int64, duration time.Duration) (*AlertFloodResult, error
 		{MAC: victim.MAC(), IP: victim.IP()},
 		{MAC: client.MAC(), IP: client.IP()},
 	}
-	flood := attack.NewAlertFlood(s.Net.Kernel, []*dataplane.Host{attacker}, victims, 10*time.Millisecond)
+	flood := attack.NewAlertFlood(s.Net.ControlKernel(), []*dataplane.Host{attacker}, victims, 10*time.Millisecond)
 	flood.Start()
 	if err := s.Run(duration); err != nil {
 		return nil, err

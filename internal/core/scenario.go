@@ -64,43 +64,56 @@ func FullStack() Defenses {
 }
 
 // Scenario is an assembled network with its deployed defense modules.
+// The modules are reached through accessors (nil when not deployed).
 type Scenario struct {
 	Net *netsim.Network
 	Def Defenses
 
-	TopoGuard *topoguard.TopoGuard
-	Sphinx    *sphinx.Sphinx
-	CMM       *tgplus.CMM
-	LLI       *tgplus.LLI
-	RateMon   *ratemon.Monitor
-
 	// OOB is the attackers' side channel, when the scenario has one.
 	OOB *link.Channel
+
+	modules defenseModules
 }
+
+// ShardedScenario is another name for Scenario, used by the perfbench
+// module.
+type ShardedScenario = Scenario
 
 // Controller is a convenience accessor.
 func (s *Scenario) Controller() *controller.Controller { return s.Net.Controller }
 
-// Run advances the scenario's virtual clock.
+// TopoGuard exposes the deployed TopoGuard module.
+func (s *Scenario) TopoGuard() *topoguard.TopoGuard { return s.modules.TopoGuard }
+
+// Sphinx exposes the deployed SPHINX module.
+func (s *Scenario) Sphinx() *sphinx.Sphinx { return s.modules.Sphinx }
+
+// LLI exposes the deployed Link Latency Inspector.
+func (s *Scenario) LLI() *tgplus.LLI { return s.modules.LLI }
+
+// RateMon exposes the deployed rate monitor.
+func (s *Scenario) RateMon() *ratemon.Monitor { return s.modules.RateMon }
+
+// Run advances the scenario's virtual clock across all shards.
 func (s *Scenario) Run(d time.Duration) error { return s.Net.Run(d) }
 
 // Close stops background tickers.
 func (s *Scenario) Close() {
-	if s.Sphinx != nil {
-		s.Sphinx.Stop()
+	if s.modules.Sphinx != nil {
+		s.modules.Sphinx.Stop()
 	}
-	if s.LLI != nil {
-		s.LLI.Stop()
+	if s.modules.LLI != nil {
+		s.modules.LLI.Stop()
 	}
-	if s.RateMon != nil {
-		s.RateMon.Stop()
+	if s.modules.RateMon != nil {
+		s.modules.RateMon.Stop()
 	}
 	s.Net.Shutdown()
 }
 
 // defenseOptions derives the controller options a defense stack needs
-// (LLDP keychain, timestamped probes), shared by the serial and sharded
-// scenario constructors.
+// (LLDP keychain, timestamped probes), shared by every scenario
+// constructor.
 func defenseOptions(def Defenses, extra []controller.Option) []controller.Option {
 	opts := extra
 	if def.TopoGuard || def.LLI {
@@ -162,18 +175,15 @@ func deployDefenses(ctl *controller.Controller, def Defenses) defenseModules {
 	return m
 }
 
-// newScenario creates a network with the defense stack's controller
-// options applied.
+// newScenario creates a one-shard network with the defense stack's
+// controller options applied.
 func newScenario(seed int64, def Defenses, extra ...controller.Option) *Scenario {
 	return &Scenario{Net: netsim.New(seed, defenseOptions(def, extra)...), Def: def}
 }
 
 // deploy registers the selected modules. Call after switches are added so
 // module tickers observe a populated network.
-func (s *Scenario) deploy() {
-	m := deployDefenses(s.Net.Controller, s.Def)
-	s.TopoGuard, s.Sphinx, s.CMM, s.LLI, s.RateMon = m.TopoGuard, m.Sphinx, m.CMM, m.LLI, m.RateMon
-}
+func (s *Scenario) deploy() { s.modules = deployDefenses(s.Net.Controller, s.Def) }
 
 // Host link latency used in the evaluation testbed (all dataplane links
 // are 5 ms in Figure 9).
@@ -281,15 +291,18 @@ func FabricatedLinkFig9() controller.Link {
 	}
 }
 
-// NewFatTreeScenario builds a k-ary fat-tree data center (Al-Fares et
-// al.) under the selected defenses, with testbed-grade trunk and host
-// link latencies. It is the scale setting for benchmarking discovery,
+// NewShardedFatTreeScenario builds a k-ary fat-tree data center
+// (Al-Fares et al.) under the selected defenses, with testbed-grade trunk
+// and host link latencies: the scale setting for benchmarking discovery,
 // reactive forwarding and defense overhead on topologies far larger than
-// the paper's four-switch testbed: k=4 yields 20 switches and 16 hosts,
-// k=8 yields 80 switches and 128 hosts.
-func NewFatTreeScenario(seed int64, k int, def Defenses, ctlOpts ...controller.Option) (*Scenario, *netsim.FatTreeTopology) {
-	s := newScenario(seed, def, ctlOpts...)
-	topo := netsim.BuildFatTree(s.Net, k, netsim.TestbedTrunkLatency(), testbedHostLink())
+// the paper's four-switch testbed (k=4 yields 20 switches and 16 hosts,
+// k=8 yields 80 switches and 128 hosts). The controller and core tier sit
+// on shard 0 and the pods are dealt round-robin over the remaining
+// shards; every shard count produces the same simulation (see
+// TestShardedByteIdentical).
+func NewShardedFatTreeScenario(seed int64, k, shards int, def Defenses, ctlOpts ...controller.Option) (*Scenario, *netsim.FatTreeTopology) {
+	s := &Scenario{Net: netsim.NewSharded(seed, shards, netsim.FatTreePartition(k, shards), defenseOptions(def, ctlOpts)...), Def: def}
+	topo := netsim.BuildFatTreeOn(s.Net, k, netsim.TestbedTrunkLatency(), testbedHostLink())
 	s.deploy()
 	return s, topo
 }

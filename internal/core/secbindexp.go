@@ -16,7 +16,7 @@ import (
 func RunPortProbingWithIdentifierBinding(seed int64) (Verdict, error) {
 	s := NewFig2Scenario(seed, BothBaselines())
 	defer s.Close()
-	authority := secbind.NewAuthority(s.Net.Kernel.Rand())
+	authority := secbind.NewAuthority(s.Net.ControlKernel().Rand())
 	binder := secbind.NewBinder(authority)
 	s.Controller().Register(binder)
 	cred, err := authority.Enroll("victim-device")
@@ -36,7 +36,7 @@ func RunPortProbingWithIdentifierBinding(seed int64) (Verdict, error) {
 
 	cfg := attack.DefaultHijackConfig(AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), cfg)
 	s.Controller().Register(hj)
 	completed := false
 	hj.Start(func(attack.Timeline) { completed = true })
@@ -57,7 +57,7 @@ func RunPortProbingWithIdentifierBinding(seed int64) (Verdict, error) {
 	case alerted:
 		// Confirm the legitimate path still works before calling it a
 		// clean block: the victim migrates with re-authentication.
-		reborn := s.Net.MoveHost(HostVictim+"-migrated",
+		reborn := s.Net.AddHost(HostVictim+"-migrated",
 			victim.MAC().String(), victim.IP().String(), 0x2, 4, nil)
 		supplicant.Rebind(reborn)
 		supplicant.Authenticate()

@@ -112,11 +112,12 @@ func TestTraceByteIdentical(t *testing.T) {
 func TestCMMForensicTimeline(t *testing.T) {
 	s := NewFig9Testbed(1, TopoGuardPlus())
 	defer s.Close()
-	rec := s.Net.EnableTrace(1 << 18)
+	s.Net.EnableTrace(1 << 18)
+	rec := s.Net.ShardTracer(0)
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fab := attack.NewInBandFabrication(s.Net.Kernel,
+	fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
 		s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), 0)
 	fab.Start()
 	if err := s.Run(2 * time.Minute); err != nil {

@@ -87,9 +87,9 @@ func runOneProfile(seed int64, prof controller.Profile) (ProfileSweepRow, error)
 	}
 	a := s.Net.Host(HostAttackerA)
 	b := s.Net.Host(HostAttackerB)
-	fab := attack.NewOOBFabrication(s.Net.Kernel, a, b, s.OOB,
+	fab := attack.NewOOBFabrication(s.Net.ControlKernel(), a, b, s.OOB,
 		attack.FabricationConfig{UseAmnesia: true, SettleDelay: 100 * time.Millisecond})
-	start := s.Net.Kernel.Now()
+	start := s.Net.ControlKernel().Now()
 	fab.Start()
 
 	fabricatedAt, err := runUntil(s, 3*prof.DiscoveryInterval+5*time.Second, func() bool {
@@ -107,7 +107,7 @@ func runOneProfile(seed int64, prof controller.Profile) (ProfileSweepRow, error)
 	// Stand down and watch the link age out.
 	a.OnFrame = nil
 	b.OnFrame = nil
-	stopAt := s.Net.Kernel.Now()
+	stopAt := s.Net.ControlKernel().Now()
 	evictedAt, err := runUntil(s, prof.LinkTimeout+prof.DiscoveryInterval+5*time.Second, func() bool {
 		return !s.Controller().HasLink(FabricatedLinkFig9()) &&
 			!s.Controller().HasLink(FabricatedLinkFig9().Reverse())
@@ -130,14 +130,14 @@ func runUntil(s *Scenario, budget time.Duration, cond func() bool) (time.Time, e
 	const step = 250 * time.Millisecond
 	for elapsed := time.Duration(0); elapsed < budget; elapsed += step {
 		if cond() {
-			return s.Net.Kernel.Now(), nil
+			return s.Net.ControlKernel().Now(), nil
 		}
 		if err := s.Run(step); err != nil {
 			return time.Time{}, err
 		}
 	}
 	if cond() {
-		return s.Net.Kernel.Now(), nil
+		return s.Net.ControlKernel().Now(), nil
 	}
 	return time.Time{}, nil
 }

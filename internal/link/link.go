@@ -185,7 +185,7 @@ func (l *Link) carrier(end End) bool {
 func (l *Link) CarrierUp(end End) bool { return l.carrier(end) }
 
 // SetRands gives each direction its own latency/loss RNG stream instead
-// of the owning kernel's. Sharded scenarios assign per-link streams
+// of the owning kernel's. netsim.Network assigns per-link streams
 // (seeded from the trial seed and the link's identity) to EVERY link, so
 // a link's draw sequence depends only on how many frames it has carried
 // — not on which shard executes it — which is what keeps output

@@ -8,7 +8,7 @@ import (
 	"sdntamper/internal/sim"
 )
 
-// FatTreeTopology records the identity of everything a BuildFatTree call
+// FatTreeTopology records the identity of everything a BuildFatTreeOn call
 // created, so experiments can pick probe endpoints and defenses can be
 // pointed at specific tiers without re-deriving the addressing scheme.
 type FatTreeTopology struct {
@@ -121,20 +121,20 @@ func FatTreeLocate(k int, dpid uint64) (tier FatTreeTier, pod, index int, ok boo
 	return 0, 0, 0, false
 }
 
-// Builder is the surface BuildFatTree needs from its target. *Network
-// satisfies it directly; the sharded network builds through it with the
-// exact same call sequence (which is what keeps shard placement from
-// perturbing creation order), and structural tests use a recording
-// implementation that skips the simulation machinery entirely.
+// Builder is the surface BuildFatTreeOn needs from its target. *Network
+// builds through it with the same call sequence at every shard count
+// (which is what keeps shard placement from perturbing creation order),
+// and structural tests use a recording implementation that skips the
+// simulation machinery entirely.
 type Builder interface {
 	AddSwitch(dpid uint64, controlLatency sim.Sampler) *dataplane.Switch
 	AddHost(name, mac, ip string, dpid uint64, port uint32, latency sim.Sampler, opts ...dataplane.HostOption) *dataplane.Host
 	AddTrunk(dpidA uint64, portA uint32, dpidB uint64, portB uint32, latency sim.Sampler) *link.Link
 }
 
-// BuildFatTree assembles a k-ary fat-tree (Al-Fares et al.) on the
-// network: (k/2)² core switches, k pods of k/2 aggregation and k/2 edge
-// switches, and k/2 hosts per edge switch. k must be even, between 2 and
+// BuildFatTreeOn assembles a k-ary fat-tree (Al-Fares et al.) on b:
+// (k/2)² core switches, k pods of k/2 aggregation and k/2 edge switches,
+// and k/2 hosts per edge switch. k must be even, between 2 and
 // 32. Trunks use trunkLatency (nil for the testbed default) and host
 // access links hostLatency (nil for zero).
 //
@@ -146,11 +146,6 @@ type Builder interface {
 // uplinks to aggregation a; aggregation port 1+e goes down to edge e and
 // k/2+1+j uplinks to core a*(k/2)+j; core port 1+p goes down to pod p.
 // Host h of edge e in pod p is named "p%d-e%d-h%d" with IP 10.p.e.(2+h).
-func BuildFatTree(n *Network, k int, trunkLatency, hostLatency sim.Sampler) *FatTreeTopology {
-	return BuildFatTreeOn(n, k, trunkLatency, hostLatency)
-}
-
-// BuildFatTreeOn is BuildFatTree generalized over the Builder surface.
 func BuildFatTreeOn(b Builder, k int, trunkLatency, hostLatency sim.Sampler) *FatTreeTopology {
 	if k < 2 || k > 32 || k%2 != 0 {
 		panic(fmt.Sprintf("netsim: fat-tree arity %d not an even number in [2,32]", k))

@@ -19,7 +19,7 @@ func TestFatTreeCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := New(1)
-		topo := BuildFatTree(n, tc.k, sim.Const(time.Millisecond), nil)
+		topo := BuildFatTreeOn(n, tc.k, sim.Const(time.Millisecond), nil)
 		if got := topo.Switches(); got != tc.switches {
 			t.Errorf("k=%d: %d switches, want %d", tc.k, got, tc.switches)
 		}
@@ -40,7 +40,7 @@ func TestFatTreeRejectsBadArity(t *testing.T) {
 					t.Errorf("k=%d: expected panic", k)
 				}
 			}()
-			BuildFatTree(New(1), k, nil, nil)
+			BuildFatTreeOn(New(1), k, nil, nil)
 		}()
 	}
 }
@@ -189,7 +189,7 @@ func TestFatTreeDPIDsStableAtLegacyArity(t *testing.T) {
 
 func TestFatTreeDiscoveryAndReachability(t *testing.T) {
 	n := New(7)
-	BuildFatTree(n, 4, sim.Const(time.Millisecond), nil)
+	BuildFatTreeOn(n, 4, sim.Const(time.Millisecond), nil)
 	if err := n.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestOOBChannelIndependentOfSDN(t *testing.T) {
 	ch := n.AddOOBChannel(sim.Const(10 * time.Millisecond))
 	var got []byte
 	var at time.Duration
-	ch.OnReceive(link.EndB, func(b []byte) { got = b; at = n.Kernel.Elapsed() })
+	ch.OnReceive(link.EndB, func(b []byte) { got = b; at = n.ControlKernel().Elapsed() })
 	ch.Send(link.EndA, []byte("covert"))
 	if err := n.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestOOBChannelIndependentOfSDN(t *testing.T) {
 	}
 }
 
-func TestMoveHostCreatesNewAttachment(t *testing.T) {
+func TestReattachedHostCreatesNewAttachment(t *testing.T) {
 	n := netsim.New(1)
 	defer n.Shutdown()
 	n.AddSwitch(0x1, nil)
@@ -89,7 +89,7 @@ func TestMoveHostCreatesNewAttachment(t *testing.T) {
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	reborn := n.MoveHost("v2", "aa:aa:aa:aa:aa:aa", "10.0.0.1", 0x2, 4, nil)
+	reborn := n.AddHost("v2", "aa:aa:aa:aa:aa:aa", "10.0.0.1", 0x2, 4, nil)
 	if reborn == nil || n.Host("v2") != reborn {
 		t.Fatal("moved host not registered")
 	}

@@ -27,13 +27,13 @@ func Merge(recs ...*Recorder) []Span {
 			out = r.appendRetained(out)
 		}
 	}
-	SortSpans(out)
+	sortSpans(out)
 	return out
 }
 
-// SortSpans orders spans by (Start, End, ID) — a strict total order,
+// sortSpans orders spans by (Start, End, ID) — a strict total order,
 // since IDs are unique within a run.
-func SortSpans(spans []Span) {
+func sortSpans(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := &spans[i], &spans[j]
 		if a.Start != b.Start {

@@ -23,7 +23,7 @@ func Timeline(spans []Span, id uint64) []Span {
 			out = append(out, spans[i])
 		}
 	}
-	SortSpans(out)
+	sortSpans(out)
 	return out
 }
 

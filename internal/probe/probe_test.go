@@ -75,7 +75,7 @@ func TestSpecsMatchTableI(t *testing.T) {
 
 func TestICMPProbeAliveAndDead(t *testing.T) {
 	s, attacker, victim, _ := rig(t, 21)
-	p := probe.New(s.Net.Kernel, attacker, probe.ICMPPing)
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.ICMPPing)
 	var alive probe.Result
 	if err := p.Probe(target(victim, 0), 200*time.Millisecond, func(r probe.Result) { alive = r }); err != nil {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func TestICMPProbeBlockedByFirewallFalseNegative(t *testing.T) {
 	// offline to ICMP while ARP still finds it.
 	s, attacker, victim, _ := rig(t, 22)
 	victim.RespondToPing = false
-	icmp := probe.New(s.Net.Kernel, attacker, probe.ICMPPing)
-	arp := probe.New(s.Net.Kernel, attacker, probe.ARPPing)
+	icmp := probe.New(s.Net.ControlKernel(), attacker, probe.ICMPPing)
+	arp := probe.New(s.Net.ControlKernel(), attacker, probe.ARPPing)
 	var viaICMP, viaARP probe.Result
 	if err := icmp.Probe(target(victim, 0), 100*time.Millisecond, func(r probe.Result) { viaICMP = r }); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestICMPProbeBlockedByFirewallFalseNegative(t *testing.T) {
 
 func TestTCPSYNProbeClosedPortStillAlive(t *testing.T) {
 	s, attacker, victim, _ := rig(t, 23)
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPSYN)
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPSYN)
 	var open, closed probe.Result
 	if err := p.Probe(target(victim, 80), 200*time.Millisecond, func(r probe.Result) { open = r }); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestTCPSYNProbeClosedPortStillAlive(t *testing.T) {
 
 func TestARPProbe(t *testing.T) {
 	s, attacker, victim, _ := rig(t, 24)
-	p := probe.New(s.Net.Kernel, attacker, probe.ARPPing)
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.ARPPing)
 	var r probe.Result
 	if err := p.Probe(target(victim, 0), 200*time.Millisecond, func(got probe.Result) { r = got }); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestARPProbe(t *testing.T) {
 
 func TestIdleScanRequiresZombie(t *testing.T) {
 	s, attacker, victim, _ := rig(t, 25)
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPIdleScan)
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPIdleScan)
 	err := p.Probe(target(victim, 80), 100*time.Millisecond, func(probe.Result) {})
 	if !errors.Is(err, probe.ErrNeedZombie) {
 		t.Fatalf("err = %v, want ErrNeedZombie", err)
@@ -182,7 +182,7 @@ func TestIdleScanRequiresZombie(t *testing.T) {
 
 func TestIdleScanDetectsLiveTarget(t *testing.T) {
 	s, attacker, victim, zombie := rig(t, 26)
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPIdleScan,
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPIdleScan,
 		probe.WithZombie(probe.Zombie{MAC: zombie.MAC(), IP: zombie.IP(), Port: 9999}))
 	var r probe.Result
 	if err := p.Probe(target(victim, 80), 300*time.Millisecond, func(got probe.Result) { r = got }); err != nil {
@@ -202,7 +202,7 @@ func TestIdleScanDetectsDeadTarget(t *testing.T) {
 	if err := s.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPIdleScan,
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPIdleScan,
 		probe.WithZombie(probe.Zombie{MAC: zombie.MAC(), IP: zombie.IP(), Port: 9999}))
 	var r probe.Result
 	done := false
@@ -288,7 +288,7 @@ func TestUnknownTypeSpec(t *testing.T) {
 
 func TestUnknownProbeTypeResolvesDead(t *testing.T) {
 	s, attacker, victim, _ := rig(t, 28)
-	p := probe.New(s.Net.Kernel, attacker, probe.Type(42), probe.WithOverhead(sim.Const(0)))
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.Type(42), probe.WithOverhead(sim.Const(0)))
 	var done, alive bool
 	if err := p.Probe(target(victim, 0), 50*time.Millisecond, func(r probe.Result) { done, alive = true, r.Alive }); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestIdleScanZombieUnreachableInconclusive(t *testing.T) {
 	if err := s.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPIdleScan,
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPIdleScan,
 		probe.WithZombie(probe.Zombie{MAC: zombie.MAC(), IP: zombie.IP(), Port: 9}))
 	var done, alive bool
 	if err := p.Probe(target(victim, 80), 100*time.Millisecond, func(r probe.Result) { done, alive = true, r.Alive }); err != nil {
@@ -326,7 +326,7 @@ func TestIdleScanZombieUnreachableInconclusive(t *testing.T) {
 
 func TestProbeSpecAccessor(t *testing.T) {
 	s, attacker, _, _ := rig(t, 30)
-	p := probe.New(s.Net.Kernel, attacker, probe.ARPPing)
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.ARPPing)
 	if p.Spec().Type != probe.ARPPing || p.Spec().Stealth != "High" {
 		t.Fatalf("spec = %+v", p.Spec())
 	}

@@ -18,7 +18,7 @@ import (
 func TestIdleScanSpoofingTripsHostTracking(t *testing.T) {
 	s, attacker, victim, zombie := rig(t, 71)
 	before := len(s.Controller().AlertsByReason(topoguard.ReasonMigrationPre))
-	p := probe.New(s.Net.Kernel, attacker, probe.TCPIdleScan,
+	p := probe.New(s.Net.ControlKernel(), attacker, probe.TCPIdleScan,
 		probe.WithZombie(probe.Zombie{MAC: zombie.MAC(), IP: zombie.IP(), Port: 9999}))
 	done := false
 	if err := p.Probe(target(victim, 80), 300*time.Millisecond, func(probe.Result) { done = true }); err != nil {

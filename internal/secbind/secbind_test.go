@@ -17,7 +17,7 @@ func rig(t *testing.T, seed int64) (*core.Scenario, *secbind.Binder, *secbind.Su
 	t.Helper()
 	s := core.NewFig2Scenario(seed, core.BothBaselines())
 	t.Cleanup(s.Close)
-	authority := secbind.NewAuthority(s.Net.Kernel.Rand())
+	authority := secbind.NewAuthority(s.Net.ControlKernel().Rand())
 	binder := secbind.NewBinder(authority)
 	s.Controller().Register(binder)
 
@@ -60,7 +60,7 @@ func TestPortProbingHijackBlockedByIdentifierBinding(t *testing.T) {
 
 	cfg := attack.DefaultHijackConfig(core.AttackerLocFig2())
 	cfg.ToolOverhead = nil
-	hj := attack.NewHijack(s.Net.Kernel, attacker, victim.IP(), cfg)
+	hj := attack.NewHijack(s.Net.ControlKernel(), attacker, victim.IP(), cfg)
 	s.Controller().Register(hj)
 	completed := false
 	hj.Start(func(attack.Timeline) { completed = true })
@@ -92,7 +92,7 @@ func TestLegitimateMigrationWithReauthentication(t *testing.T) {
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	reborn := s.Net.MoveHost("victim-migrated", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
+	reborn := s.Net.AddHost("victim-migrated", victimMAC.String(), victimIP.String(), 0x2, 4, nil)
 	// The migrated VM carries its supplicant state (credential and nonce
 	// counter) and re-authenticates from the new attachment.
 	supplicant.Rebind(reborn)

@@ -66,14 +66,14 @@ type ShardHealth struct {
 }
 
 // NewShardGroup builds a group over the given kernels, which must all
-// share the same epoch and start clock. Shard IDs are the kernel indices.
+// share the same start clock. Shard IDs are the kernel indices.
 func NewShardGroup(kernels ...*Kernel) *ShardGroup {
 	if len(kernels) == 0 {
 		panic("sim: shard group needs at least one kernel")
 	}
 	for _, k := range kernels[1:] {
-		if !k.epoch.Equal(kernels[0].epoch) || k.nowNs != kernels[0].nowNs {
-			panic("sim: shard kernels must share epoch and clock")
+		if k.nowNs != kernels[0].nowNs {
+			panic("sim: shard kernels must share a clock")
 		}
 	}
 	return &ShardGroup{
@@ -305,7 +305,7 @@ func (w *shardWorkers) stop() {
 
 // MixSeed derives a deterministic sub-seed from a base seed and a list of
 // identity tags (shard IDs, DPIDs, port numbers) using splitmix64 steps.
-// Sharded scenarios use it to give every shard — and every cross-visible
+// netsim.Network uses it to give every shard — and every cross-visible
 // random stream — a seed that depends only on the trial seed and the
 // entity's identity, never on shard placement.
 func MixSeed(base int64, tags ...uint64) int64 {

@@ -12,7 +12,7 @@
 //
 // The kernel's hot path is allocation-free in steady state:
 //
-//   - Virtual time is an int64 nanosecond offset from the kernel's epoch.
+//   - Virtual time is an int64 nanosecond offset from Epoch.
 //     Ordering events compares two integers, not time.Time values; the
 //     public API still speaks time.Time, converted at the boundary with
 //     exact integer arithmetic, so observable timestamps are unchanged.
@@ -58,7 +58,7 @@ const compactMin = 64
 // Slots have stable addresses and are recycled through the kernel's free
 // list; gen increments on every recycle so stale Event handles go inert.
 type eventSlot struct {
-	at       int64 // virtual ns since the kernel epoch
+	at       int64 // virtual ns since Epoch
 	seq      uint64
 	gen      uint64
 	canceled bool
@@ -115,9 +115,7 @@ func (e Event) Time() time.Time {
 // concurrent use: all components sharing a Kernel must run on the kernel's
 // event loop.
 type Kernel struct {
-	epoch    time.Time
-	epochOff int64 // epoch.Sub(Epoch), so Elapsed stays relative to Epoch
-	nowNs    int64 // virtual ns since epoch
+	nowNs int64 // virtual ns since Epoch
 
 	heap     []*eventSlot
 	free     []*eventSlot
@@ -143,14 +141,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithEpoch sets the virtual time at which the simulation begins.
-func WithEpoch(t time.Time) Option {
-	return func(k *Kernel) {
-		k.epoch = t
-		k.epochOff = int64(t.Sub(Epoch))
-	}
-}
-
 // WithEventLimit bounds the total number of events a kernel will execute
 // across all run calls. The default is 50 million.
 func WithEventLimit(n uint64) Option {
@@ -160,7 +150,6 @@ func WithEventLimit(n uint64) Option {
 // New creates a Kernel positioned at the epoch with an empty event queue.
 func New(opts ...Option) *Kernel {
 	k := &Kernel{
-		epoch:      Epoch,
 		seed:       1,
 		rng:        rand.New(rand.NewSource(1)),
 		eventLimit: 50_000_000,
@@ -176,7 +165,7 @@ func New(opts ...Option) *Kernel {
 // configured seed — while retaining the heap and free-list capacity so a
 // kernel reused across trials does not re-grow its queue. All pending
 // events are discarded and every outstanding Event handle goes inert.
-// The event limit, epoch and step hook are construction-time wiring and
+// The event limit and step hook are construction-time wiring and
 // are kept.
 func (k *Kernel) Reset() {
 	for _, s := range k.heap {
@@ -191,13 +180,13 @@ func (k *Kernel) Reset() {
 }
 
 // timeAt converts a virtual-ns offset to the public time.Time form.
-func (k *Kernel) timeAt(ns int64) time.Time { return k.epoch.Add(time.Duration(ns)) }
+func (k *Kernel) timeAt(ns int64) time.Time { return Epoch.Add(time.Duration(ns)) }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() time.Time { return k.timeAt(k.nowNs) }
 
 // Elapsed reports virtual time elapsed since the epoch.
-func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.epochOff + k.nowNs) }
+func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.nowNs) }
 
 // Rand exposes the kernel's deterministic random source. Components must
 // draw all randomness from it to keep runs reproducible.
@@ -247,7 +236,7 @@ func (k *Kernel) Schedule(d time.Duration, fn func()) Event {
 // ScheduleAt runs fn at virtual time t. Times in the past are clamped to
 // the current instant.
 func (k *Kernel) ScheduleAt(t time.Time, fn func()) Event {
-	at := int64(t.Sub(k.epoch))
+	at := int64(t.Sub(Epoch))
 	if at < k.nowNs {
 		at = k.nowNs
 	}
@@ -456,7 +445,7 @@ func (k *Kernel) RunFor(d time.Duration) error {
 // RunUntil executes events with firing times at or before deadline, then
 // advances the clock to exactly the deadline.
 func (k *Kernel) RunUntil(deadline time.Time) error {
-	return k.runUntilNs(int64(deadline.Sub(k.epoch)))
+	return k.runUntilNs(int64(deadline.Sub(Epoch)))
 }
 
 func (k *Kernel) runUntilNs(deadline int64) error {
