@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"sdntamper/internal/attack"
@@ -86,13 +88,45 @@ func dosRow(r *core.DoSResult) dosVariantRow {
 	return row
 }
 
+// dosVariants are the flood variants the dos experiment runs, in order.
+var dosVariants = []attack.DoSVariant{attack.SYNFlood, attack.LinkSaturation}
+
+// parseDoSFloors reads the -dosfloor flag, comma-separated
+// variant=figure pairs, into a kernel events/s floor per flood variant
+// name. The floors are per variant because the variants run at different
+// event rates (a saturation event carries a full-size frame), so one
+// shared floor would sit far below the faster variant's rate. A variant
+// left out has no floor.
+func parseDoSFloors(s string) (map[string]float64, error) {
+	floors := make(map[string]float64)
+	if s == "" {
+		return floors, nil
+	}
+	for _, pair := range strings.Split(s, ",") {
+		name, figure, ok := strings.Cut(pair, "=")
+		v, err := strconv.ParseFloat(figure, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("-dosfloor: %q is not variant=figure", pair)
+		}
+		known := false
+		for _, variant := range dosVariants {
+			known = known || variant.String() == name
+		}
+		if !known {
+			return nil, fmt.Errorf("-dosfloor: unknown variant %q", name)
+		}
+		floors[name] = v
+	}
+	return floors, nil
+}
+
 // printDoS runs the distributed-DoS experiment: both flood variants on
 // the k-ary fat-tree under the full defense stack, each at every shard
 // configuration. It asserts the deterministic surface (detection
 // timeline, block classification, traffic totals, merged metrics) is
-// identical across configurations, enforces the optional kernel
-// throughput floor, and optionally writes the JSON report.
-func printDoS(seed int64, k int, floor float64, outPath string) error {
+// identical across configurations, enforces the optional per-variant
+// kernel throughput floors, and optionally writes the JSON report.
+func printDoS(seed int64, k int, floors map[string]float64, outPath string) error {
 	header(fmt.Sprintf("DOS: distributed floods vs rate monitor on the k=%d fat-tree", k))
 	report := dosReport{
 		Experiment: "dos",
@@ -105,7 +139,7 @@ func printDoS(seed int64, k int, floor float64, outPath string) error {
 			"generator and its mid-run burst run through the whole attack.",
 	}
 
-	for _, variant := range []attack.DoSVariant{attack.SYNFlood, attack.LinkSaturation} {
+	for _, variant := range dosVariants {
 		var ref *core.DoSResult
 		for _, cfg := range dosConfigs {
 			res, err := core.RunDoS(seed, k, cfg.shards, cfg.parallel, variant)
@@ -120,7 +154,7 @@ func printDoS(seed int64, k int, floor float64, outPath string) error {
 				WallSeconds:  res.Wall.Seconds(),
 				EventsPerSec: eps,
 			})
-			if floor > 0 && eps < floor {
+			if floor := floors[variant.String()]; floor > 0 && eps < floor {
 				return fmt.Errorf("%s shards=%d: %.0f events/s below the %.0f floor",
 					variant, cfg.shards, eps, floor)
 			}

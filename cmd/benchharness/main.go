@@ -19,7 +19,7 @@
 // So is the distributed-DoS experiment, which runs both flood variants
 // at 1 and 2 shards and verifies the deterministic surface matches:
 //
-//	benchharness -experiment dos -dosk 4 -dosfloor 30000 -dosout BENCH_pr8.json
+//	benchharness -experiment dos -dosk 4 -dosfloor synflood=280000,saturation=40000 -dosout BENCH_pr8.json
 //
 // And the clustered-controller failover experiment, which crashes a
 // replica mid-run, measures the deterministic reconvergence and the
@@ -77,7 +77,7 @@ func run(args []string) error {
 	scaleRounds := fs.Int("scalerounds", 3, "scale experiment: steady-state ping rounds")
 	scaleParallel := fs.Bool("scaleparallel", true, "scale experiment: run shard epochs on parallel goroutines")
 	dosK := fs.Int("dosk", 4, "dos experiment: fat-tree arity")
-	dosFloor := fs.Float64("dosfloor", 0, "dos experiment: fail if any run executes fewer kernel events/s (0 = no floor)")
+	dosFloor := fs.String("dosfloor", "", "dos experiment: per-variant kernel events/s floors, as variant=figure pairs such as synflood=280000,saturation=40000; a run below its variant's floor fails (empty = no floor)")
 	dosOut := fs.String("dosout", "", "dos experiment: write the JSON report to this file")
 	failoverOut := fs.String("failoverout", "", "failover experiment: write the JSON report to this file")
 	discoveryK := fs.String("discoveryk", "4,8,16,32", "discovery experiment: comma-separated fat-tree arities for the load scan")
@@ -92,6 +92,10 @@ func run(args []string) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
+	}
+	dosFloors, err := parseDoSFloors(*dosFloor)
+	if err != nil {
+		return err
 	}
 
 	if *cpuProfile != "" {
@@ -151,7 +155,7 @@ func run(args []string) error {
 			return printScale(s, *shards, *scaleK, *scaleRounds, *scaleParallel, *tracePath)
 		},
 		"dos": func(s int64, _ int) error {
-			return printDoS(s, *dosK, *dosFloor, *dosOut)
+			return printDoS(s, *dosK, dosFloors, *dosOut)
 		},
 		"failover": func(s int64, _ int) error {
 			return printFailover(s, *failoverOut)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"regexp"
@@ -55,5 +56,33 @@ func TestRejectsShardsBelowOne(t *testing.T) {
 		if out != "" {
 			t.Fatalf("-shards %s ran an experiment:\n%s", n, out)
 		}
+	}
+}
+
+func TestParseDoSFloors(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		want string
+	}{
+		{"", "map[]"},
+		{"synflood=280000,saturation=40000", "map[saturation:40000 synflood:280000]"},
+		{"synflood=280000", "map[synflood:280000]"},
+	} {
+		got, err := parseDoSFloors(tc.flag)
+		if err != nil || fmt.Sprint(got) != tc.want {
+			t.Errorf("parseDoSFloors(%q) = %v, %v; want %s", tc.flag, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"30000", "fast", "synflood=", "flood=1000", "synflood=1,saturation"} {
+		if _, err := parseDoSFloors(bad); err == nil {
+			t.Errorf("parseDoSFloors(%q) accepted a malformed floor", bad)
+		}
+	}
+	out, err := runCaptured(t, "-experiment", "dos", "-dosfloor", "flood=1000")
+	if err == nil || !strings.Contains(err.Error(), "-dosfloor") {
+		t.Fatalf("bad -dosfloor: err = %v, want a -dosfloor error", err)
+	}
+	if out != "" {
+		t.Fatalf("bad -dosfloor ran an experiment:\n%s", out)
 	}
 }

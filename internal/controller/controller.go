@@ -56,13 +56,13 @@ type Controller struct {
 	// tracking entries stranded on a switch dead past the link timeout.
 	deadSwitches map[uint64]time.Time
 
-	links       map[Link]time.Time // link -> last refresh
-	linkBorn    map[Link]time.Time // link -> first discovery
-	topo        topoCache          // derived forwarding views of links
-	hosts       map[packet.MAC]*HostEntry
-	flowModLog  []openflow.FlowMod
-	floodCache  map[uint64]floodEntry
-	pendingLLDP map[PortRef]pendingProbe
+	links        map[Link]time.Time // link -> last refresh
+	linkBorn     map[Link]time.Time // link -> first discovery
+	topo         topoCache          // derived forwarding views of links
+	hosts        map[packet.MAC]*HostEntry
+	flowModLog   []openflow.FlowMod
+	recentFloods floodCache
+	pendingLLDP  map[PortRef]pendingProbe
 
 	// tracer is the controller shard's span recorder (nil when tracing is
 	// off); traceSeq numbers the controller's spans, which is
@@ -110,8 +110,13 @@ type Controller struct {
 	// marshal, so a discovery round allocates nothing per port.
 	lldpBuf []byte
 	// portScratch backs sortedPortsInto so per-switch port iteration on
-	// the discovery and flood paths does not allocate per round.
+	// the discovery and flood-plan paths does not allocate per round.
 	portScratch []uint32
+	// poScratch is the Packet-Out every send is built in (see packetOut);
+	// floodScratch holds the ingress switch's flood actions minus the
+	// ingress port.
+	poScratch    openflow.PacketOut
+	floodScratch []openflow.Action
 }
 
 var _ API = (*Controller)(nil)
@@ -174,7 +179,6 @@ func New(kernel *sim.Kernel, opts ...Option) *Controller {
 		links:             make(map[Link]time.Time),
 		linkBorn:          make(map[Link]time.Time),
 		hosts:             make(map[packet.MAC]*HostEntry),
-		floodCache:        make(map[uint64]floodEntry),
 		pendingLLDP:       make(map[PortRef]pendingProbe),
 		pendingEchoes:     make(map[uint32]*pendingEcho),
 		pendingPathProbes: make(map[uint64]*pendingPathProbe),
@@ -233,6 +237,7 @@ func (c *Controller) Disconnect(dpid uint64) bool {
 		return false
 	}
 	delete(c.conns, dpid)
+	c.invalidateFloodPlan()
 	c.deadSwitches[dpid] = c.kernel.Now()
 	c.m.switchDisconnects.Inc()
 	c.event(obs.KindTopology, "switch-disconnected", PortRef{DPID: dpid}, "")
@@ -345,6 +350,7 @@ func (conn *Conn) Handle(data []byte) {
 			conn.ports[p.No] = p
 		}
 		c.conns[conn.dpid] = conn
+		c.invalidateFloodPlan()
 		for i, p := range c.pending {
 			if p == conn {
 				c.pending = append(c.pending[:i], c.pending[i+1:]...)
@@ -369,6 +375,7 @@ func (conn *Conn) Handle(data []byte) {
 		c.resolveEcho(xid)
 	case *openflow.PortStatus:
 		conn.ports[msg.Desc.No] = msg.Desc
+		c.invalidateFloodPlan()
 		c.handlePortStatus(conn.dpid, msg)
 	case *openflow.PacketIn:
 		c.handlePacketIn(conn, msg)
@@ -532,14 +539,18 @@ func (c *Controller) HasLink(l Link) bool {
 	return ok
 }
 
-// LinkPorts implements API.
+// LinkPorts implements API. The set is built on first use after a link
+// change and shared until the next one (see topoCache).
 func (c *Controller) LinkPorts() map[PortRef]bool {
-	out := make(map[PortRef]bool, 2*len(c.links))
-	for l := range c.links {
-		out[l.Src] = true
-		out[l.Dst] = true
+	t := &c.topo
+	if t.linkPorts == nil {
+		t.linkPorts = make(map[PortRef]bool, 2*len(c.links))
+		for l := range c.links {
+			t.linkPorts[l.Src] = true
+			t.linkPorts[l.Dst] = true
+		}
 	}
-	return out
+	return t.linkPorts
 }
 
 // RemoveLink implements API.
@@ -629,11 +640,20 @@ func (c *Controller) sendPacketOut(dpid uint64, inPort uint32, actions []openflo
 	if !ok {
 		return
 	}
+	c.packetOut(conn, inPort, actions, data)
+}
+
+// packetOut sends a Packet-Out on a connection. The message is built in
+// the controller's scratch struct: sendMsg marshals it before returning,
+// so nothing retains it and a Packet-Out allocates nothing.
+func (c *Controller) packetOut(conn *Conn, inPort uint32, actions []openflow.Action, data []byte) {
 	c.m.packetOuts.Inc()
-	conn.sendMsg(&openflow.PacketOut{
+	c.poScratch = openflow.PacketOut{
 		BufferID: openflow.NoBuffer,
 		InPort:   inPort,
 		Actions:  actions,
 		Data:     data,
-	})
+	}
+	conn.sendMsg(&c.poScratch)
+	c.poScratch = openflow.PacketOut{}
 }

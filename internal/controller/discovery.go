@@ -25,7 +25,7 @@ type pendingProbe struct {
 
 // sortedPortsInto returns a port map's keys in ascending order, backed
 // by the controller's reusable scratch slice: the discovery sweep and
-// the flood path iterate switch ports every round, and a fresh slice per
+// flood-plan rebuilds iterate switch ports, and a fresh slice per
 // switch per round was measurable churn at fat-tree scale. The returned
 // slice is valid until the next call; callers must not retain it across
 // another port iteration (the kernel is single-threaded, so there is no

@@ -60,15 +60,57 @@ type floodEntry struct {
 	origin PortRef
 }
 
+// floodCache remembers recently flooded frames in two generations. New
+// entries go into cur; once floodCacheWindow has passed since cur was
+// started, cur becomes prev and the old prev is dropped whole. Every
+// entry in a dropped generation is at least one window old, so each
+// entry younger than the window stays visible, and pruning costs O(1)
+// per flood however large a spoofed flood makes the cache.
+type floodCache struct {
+	cur, prev map[uint64]floodEntry
+	start     time.Time // when cur was started
+}
+
+// add records a flood of the frame with the given key.
+func (f *floodCache) add(key uint64, e floodEntry) {
+	if age := e.at.Sub(f.start); age >= floodCacheWindow {
+		// cur only takes writes made within one window of its start, so
+		// after two windows it holds nothing live either.
+		if age >= 2*floodCacheWindow {
+			f.prev = nil
+		} else {
+			f.prev = f.cur
+		}
+		f.cur = make(map[uint64]floodEntry)
+		f.start = e.at
+	}
+	f.cur[key] = e
+}
+
+// lookup returns the newest entry for key; writes go to cur, so an entry
+// there supersedes one in prev.
+func (f *floodCache) lookup(key uint64) (floodEntry, bool) {
+	if e, ok := f.cur[key]; ok {
+		return e, true
+	}
+	e, ok := f.prev[key]
+	return e, ok
+}
+
+// floodKey hashes a frame's bytes into its flood-cache key.
+func floodKey(data []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}
+
 // isRecentFlood reports whether the frame is one the controller recently
 // flooded, now re-entering from a different port (e.g. over a trunk that
 // is not yet in the topology). A host re-transmitting identical bytes
 // from the original port is NOT suppressed: repeated ARP probes are
 // legitimately byte-identical.
 func (c *Controller) isRecentFlood(ev *PacketInEvent) bool {
-	h := fnv.New64a()
-	h.Write(ev.Data)
-	entry, ok := c.floodCache[h.Sum64()]
+	entry, ok := c.recentFloods.lookup(floodKey(ev.Data))
 	return ok && c.kernel.Now().Sub(entry.at) < floodCacheWindow && entry.origin != ev.Loc()
 }
 
@@ -76,43 +118,35 @@ func (c *Controller) isRecentFlood(ev *PacketInEvent) bool {
 // the ingress port. Flooding only access ports (never inferred link
 // ports) keeps broadcast delivery loop-free even in cyclic or tampered
 // topologies; a dedup cache suppresses re-floods of the same frame
-// re-entering via another switch.
+// re-entering via another switch. The per-switch actions come from the
+// cached flood plan; only the ingress switch's list is filtered here.
 func (c *Controller) flood(ev *PacketInEvent) {
 	c.m.floods.Inc()
-	h := fnv.New64a()
-	h.Write(ev.Data)
-	key := h.Sum64()
-	now := c.kernel.Now()
-	c.floodCache[key] = floodEntry{at: now, origin: ev.Loc()}
-	if len(c.floodCache) > 4096 {
-		for k, entry := range c.floodCache {
-			if now.Sub(entry.at) >= floodCacheWindow {
-				delete(c.floodCache, k)
-			}
-		}
-	}
-
-	linkPorts := c.LinkPorts()
 	origin := ev.Loc()
-	// Sorted iteration keeps runs reproducible: map order would reorder
-	// frame emissions and hence downstream RNG draws.
-	for _, dpid := range c.Switches() {
-		conn := c.conns[dpid]
-		var actions []openflow.Action
-		for _, no := range c.sortedPortsInto(conn.ports) {
-			if !conn.ports[no].Up {
+	c.recentFloods.add(floodKey(ev.Data), floodEntry{at: c.kernel.Now(), origin: origin})
+	for _, t := range c.floodPlan() {
+		actions := t.actions
+		if t.conn.dpid == origin.DPID {
+			actions = c.withoutPort(actions, origin.Port)
+			if len(actions) == 0 {
 				continue
 			}
-			ref := PortRef{DPID: dpid, Port: no}
-			if ref == origin || linkPorts[ref] {
-				continue
-			}
-			actions = append(actions, openflow.Output(no))
 		}
-		if len(actions) > 0 {
-			c.sendPacketOut(dpid, openflow.PortNone, actions, ev.Data)
+		c.packetOut(t.conn, openflow.PortNone, actions, ev.Data)
+	}
+}
+
+// withoutPort returns actions minus the output to port. The plan's slice
+// is returned as is when it has no such output; otherwise the result is
+// built in the controller's scratch slice, valid until the next call.
+func (c *Controller) withoutPort(actions []openflow.Action, port uint32) []openflow.Action {
+	for i, a := range actions {
+		if a.Port == port {
+			c.floodScratch = append(append(c.floodScratch[:0], actions[:i]...), actions[i+1:]...)
+			return c.floodScratch
 		}
 	}
+	return actions
 }
 
 // shortestPath resolves the switch sequence from src to dst (inclusive)

@@ -130,22 +130,71 @@ func TestProbeHostUnknownSwitch(t *testing.T) {
 	}
 }
 
-func TestFloodCachePruning(t *testing.T) {
-	c, k := newBareController(t)
-	// Stuff the cache past its prune threshold with stale entries.
-	for i := 0; i < 5000; i++ {
-		c.floodCache[uint64(i)] = floodEntry{at: k.Now(), origin: PortRef{DPID: 1, Port: 1}}
+// floodFrame is a broadcast Packet-In whose bytes encode id, so distinct
+// ids are distinct flood-cache keys.
+func floodFrame(k *sim.Kernel, loc PortRef, id uint64) *PacketInEvent {
+	data := make([]byte, 8)
+	for i := range data {
+		data[i] = byte(id >> (8 * i))
 	}
-	k.RunFor(5 * time.Second) // stale them all
-	ev := &PacketInEvent{
-		DPID: 1, InPort: 1,
+	return &PacketInEvent{
+		DPID: loc.DPID, InPort: loc.Port,
 		Eth:  &packet.Ethernet{Dst: packet.BroadcastMAC, Type: packet.EtherTypeARP},
-		Data: []byte{1, 2, 3},
+		Data: data,
 		When: k.Now(),
 	}
-	c.flood(ev) // triggers the prune
-	if len(c.floodCache) > 10 {
-		t.Fatalf("cache not pruned: %d entries", len(c.floodCache))
+}
+
+// floodCacheEntries lists every entry either flood-cache generation holds.
+func floodCacheEntries(c *Controller) []floodEntry {
+	var out []floodEntry
+	for _, gen := range []map[uint64]floodEntry{c.recentFloods.cur, c.recentFloods.prev} {
+		for _, e := range gen {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestFloodCachePruning(t *testing.T) {
+	c, k := newBareController(t)
+	in := PortRef{DPID: 1, Port: 1}
+	// Fill the cache through the flood path, then let every entry go
+	// stale: two windows on, neither generation may still hold one.
+	for i := uint64(0); i < 5000; i++ {
+		c.flood(floodFrame(k, in, i))
+	}
+	k.RunFor(2*floodCacheWindow + floodCacheWindow/2)
+	c.flood(floodFrame(k, in, 1<<40))
+	entries := floodCacheEntries(c)
+	if len(entries) != 1 {
+		t.Fatalf("flood cache holds %d entries after two windows, want only the fresh one", len(entries))
+	}
+	for _, e := range entries {
+		if k.Now().Sub(e.at) >= floodCacheWindow {
+			t.Fatalf("stale entry from %v survived", e.at)
+		}
+	}
+	// A frame flooded late in one generation stays visible after the
+	// next flood turns the generations over: less than one window on,
+	// it re-entering at another port is still echo.
+	k.RunFor(floodCacheWindow * 3 / 4)
+	c.flood(floodFrame(k, in, 1<<41))
+	k.RunFor(floodCacheWindow / 2)
+	c.flood(floodFrame(k, in, 1<<42))
+	if _, inPrev := c.recentFloods.prev[floodKey(floodFrame(k, in, 1<<41).Data)]; !inPrev {
+		t.Fatal("flood did not turn the generations over")
+	}
+	echo := floodFrame(k, PortRef{DPID: 2, Port: 3}, 1<<41)
+	if !c.isRecentFlood(echo) {
+		t.Fatal("frame flooded under a window ago not recognized re-entering at another port")
+	}
+	if c.isRecentFlood(floodFrame(k, in, 1<<41)) {
+		t.Fatal("frame re-sent from its own ingress port suppressed")
+	}
+	k.RunFor(floodCacheWindow / 2)
+	if c.isRecentFlood(echo) {
+		t.Fatal("frame flooded over a window ago still suppressed")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"sdntamper/internal/obs"
+	"sdntamper/internal/openflow"
 )
 
 // topoCache holds incrementally maintained derived views of the link
@@ -14,11 +15,28 @@ import (
 // time, which drives parallel-link tie-breaking) changes — link adds,
 // timeout sweeps, Port-Down evictions — and rebuilt lazily on the next
 // query; a plain LLDP refresh of an existing link leaves them intact.
+//
+// Two further views have their own lazy slots, rebuilt on first use
+// rather than in ensureTopo (so they never tick the rebuild counter): the
+// link-port set, which is replaced on invalidation and never mutated,
+// and the flood plan, which also depends on the connection and port
+// tables and is dropped whenever either changes.
 type topoCache struct {
 	valid  bool
 	adj    map[uint64][]uint64      // switch -> neighbor DPIDs, ascending
 	paths  map[switchPair][]uint64  // memoized BFS results; nil = no path
 	egress map[switchPair]egressSel // memoized egress-port selections
+
+	linkPorts  map[PortRef]bool // link endpoints; nil = not built
+	flood      []floodTarget    // per-switch flood actions, ascending DPID
+	floodValid bool
+}
+
+// floodTarget is one switch's share of a flood: an output action for
+// every up port that is not a link endpoint, in ascending port order.
+type floodTarget struct {
+	conn    *Conn
+	actions []openflow.Action
 }
 
 // switchPair keys the per-(src,dst) caches.
@@ -35,7 +53,45 @@ type egressSel struct {
 
 // invalidateTopo drops every derived topology view; the next forwarding
 // query rebuilds them from c.links.
-func (c *Controller) invalidateTopo() { c.topo.valid = false }
+func (c *Controller) invalidateTopo() {
+	c.topo.valid = false
+	c.topo.linkPorts = nil
+	c.invalidateFloodPlan()
+}
+
+// invalidateFloodPlan drops the flood plan alone, for connection and
+// port-table changes that leave the link set as it was.
+func (c *Controller) invalidateFloodPlan() {
+	c.topo.flood, c.topo.floodValid = nil, false
+}
+
+// floodPlan returns the per-switch flood actions, building them on first
+// use after an invalidation. Switches are in ascending DPID order and
+// ports in ascending number, so flood emissions (and the RNG draws
+// downstream of them) do not depend on map iteration; switches with no
+// floodable port are left out.
+func (c *Controller) floodPlan() []floodTarget {
+	t := &c.topo
+	if t.floodValid {
+		return t.flood
+	}
+	linkPorts := c.LinkPorts()
+	plan := make([]floodTarget, 0, len(c.conns))
+	for _, dpid := range c.Switches() {
+		conn := c.conns[dpid]
+		var actions []openflow.Action
+		for _, no := range c.sortedPortsInto(conn.ports) {
+			if conn.ports[no].Up && !linkPorts[PortRef{DPID: dpid, Port: no}] {
+				actions = append(actions, openflow.Output(no))
+			}
+		}
+		if len(actions) > 0 {
+			plan = append(plan, floodTarget{conn: conn, actions: actions})
+		}
+	}
+	t.flood, t.floodValid = plan, true
+	return plan
+}
 
 // sortLinks orders links by (Src, Dst) so every bulk operation over the
 // link map — snapshots, evictions — runs in a reproducible order.

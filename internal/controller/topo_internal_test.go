@@ -1,16 +1,20 @@
 package controller
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"sdntamper/internal/lldp"
 	"sdntamper/internal/openflow"
 	"sdntamper/internal/packet"
+	"sdntamper/internal/sim"
 )
 
-// Regression and invalidation tests for the forwarding hot-path cache and
-// the discovery bookkeeping fixes (missing egress port, pending-LLDP
+// Regression and invalidation tests for the forwarding hot-path caches
+// (paths, egress ports, the link-port set and the flood plan) and the
+// discovery bookkeeping fixes (missing egress port, pending-LLDP
 // consumption and aging).
 
 func TestEgressPortMissingLinkReportsNotFound(t *testing.T) {
@@ -146,5 +150,131 @@ func TestEgressCacheInvalidatedByPortDown(t *testing.T) {
 	})
 	if p, ok := c.egressPort(1, 2); ok {
 		t.Fatalf("egress = (%d, true) after the port went down", p)
+	}
+}
+
+// floodTap records the output ports of every Packet-Out sent to one
+// switch.
+type floodTap struct{ outs [][]uint32 }
+
+// tapSwitch connects a switch with the given up ports whose transmit
+// function feeds a floodTap. The tap starts empty: the probes discovery
+// sends on connect are discarded.
+func tapSwitch(c *Controller, dpid uint64, ports ...uint32) (*Conn, *floodTap) {
+	tap := &floodTap{}
+	conn := c.Connect(func(b []byte) {
+		if _, m, err := openflow.Unmarshal(b); err == nil {
+			if po, ok := m.(*openflow.PacketOut); ok {
+				var outs []uint32
+				for _, a := range po.Actions {
+					outs = append(outs, a.Port)
+				}
+				tap.outs = append(tap.outs, outs)
+			}
+		}
+	})
+	descs := make([]openflow.PortDesc, len(ports))
+	for i, no := range ports {
+		descs[i] = openflow.PortDesc{No: no, Up: true}
+	}
+	conn.Handle(openflow.Marshal(1, &openflow.FeaturesReply{DatapathID: dpid, Ports: descs}))
+	tap.outs = nil
+	return conn, tap
+}
+
+// floodFrom floods a broadcast frame entering at in and reports what
+// each tap received, clearing them for the next flood.
+func floodFrom(c *Controller, k *sim.Kernel, in PortRef, taps ...*floodTap) string {
+	for _, tap := range taps {
+		tap.outs = nil
+	}
+	c.flood(&PacketInEvent{
+		DPID: in.DPID, InPort: in.Port,
+		Eth:  &packet.Ethernet{Dst: packet.BroadcastMAC, Type: packet.EtherTypeARP},
+		Data: []byte{byte(in.DPID), byte(in.Port)},
+		When: k.Now(),
+	})
+	got := make([]string, len(taps))
+	for i, tap := range taps {
+		got[i] = fmt.Sprint(tap.outs)
+		tap.outs = nil
+	}
+	return strings.Join(got, " ")
+}
+
+func setPort(conn *Conn, no uint32, up bool) {
+	conn.Handle(openflow.Marshal(1, &openflow.PortStatus{
+		Reason: openflow.PortReasonModify,
+		Desc:   openflow.PortDesc{No: no, Up: up},
+	}))
+}
+
+func TestFloodPlanFollowsPortAndLinkChanges(t *testing.T) {
+	c, k := newBareController(t)
+	conn1, tap1 := tapSwitch(c, 1, 1, 2, 3)
+	_, tap2 := tapSwitch(c, 2, 1, 2)
+	outside := PortRef{DPID: 9, Port: 1}
+	check := func(in PortRef, want string) {
+		t.Helper()
+		if got := floodFrom(c, k, in, tap1, tap2); got != want {
+			t.Fatalf("flood from %v reached %s, want %s", in, got, want)
+		}
+	}
+	check(outside, "[[1 2 3]] [[1 2]]")
+	check(PortRef{DPID: 1, Port: 2}, "[[1 3]] [[1 2]]")
+
+	// A port that goes down stops receiving floods; back up, it resumes.
+	setPort(conn1, 2, false)
+	check(outside, "[[1 3]] [[1 2]]")
+	setPort(conn1, 2, true)
+	check(outside, "[[1 2 3]] [[1 2]]")
+
+	// A port that becomes a link endpoint stops receiving floods, on
+	// both sides of the link, until the link leaves the topology.
+	l := Link{Src: PortRef{DPID: 1, Port: 3}, Dst: PortRef{DPID: 2, Port: 1}}
+	c.ImportLink(l, k.Now())
+	check(outside, "[[1 2]] [[2]]")
+	c.ImportLinkRemoval(l)
+	check(outside, "[[1 2 3]] [[1 2]]")
+}
+
+func TestFloodPlanSkipsDisconnectedSwitch(t *testing.T) {
+	c, k := newBareController(t)
+	_, tap1 := tapSwitch(c, 1, 1)
+	_, tap2 := tapSwitch(c, 2, 1, 2)
+	outside := PortRef{DPID: 9, Port: 1}
+	if got := floodFrom(c, k, outside, tap1, tap2); got != "[[1]] [[1 2]]" {
+		t.Fatalf("flood reached %s", got)
+	}
+	c.Disconnect(2)
+	if got := floodFrom(c, k, outside, tap1, tap2); got != "[[1]] []" {
+		t.Fatalf("flood after disconnect reached %s, want switch 2 skipped", got)
+	}
+	_, again := tapSwitch(c, 2, 1, 2)
+	if got := floodFrom(c, k, outside, tap1, tap2, again); got != "[[1]] [] [[1 2]]" {
+		t.Fatalf("flood after reconnect reached %s, want the new connection flooded", got)
+	}
+}
+
+func TestLinkPortsSnapshotSurvivesLinkChanges(t *testing.T) {
+	c, k := newBareController(t)
+	a := Link{Src: PortRef{DPID: 1, Port: 1}, Dst: PortRef{DPID: 2, Port: 1}}
+	b := Link{Src: PortRef{DPID: 2, Port: 2}, Dst: PortRef{DPID: 3, Port: 1}}
+	c.ImportLink(a, k.Now())
+	before := c.LinkPorts()
+	c.ImportLink(b, k.Now())
+	if len(before) != 2 || before[b.Src] {
+		t.Fatalf("link-port set captured before a link add changed: %v", before)
+	}
+	if now := c.LinkPorts(); len(now) != 4 || !now[b.Src] || !now[b.Dst] {
+		t.Fatalf("link-port set after the add = %v", now)
+	}
+	mid := c.LinkPorts()
+	c.RemoveLink(a)
+	if len(mid) != 4 || !mid[a.Src] || !mid[a.Dst] {
+		t.Fatalf("link-port set captured before a link removal changed: %v", mid)
+	}
+	if now := c.LinkPorts(); len(now) != 2 || now[a.Src] || now[a.Dst] {
+		t.Fatalf("link-port set after the removal = %v", now)
 	}
 }

@@ -290,7 +290,10 @@ type API interface {
 	Metrics() *obs.Registry
 	// Links snapshots the current topology.
 	Links() []Link
-	// LinkPorts reports the set of ports currently acting as link endpoints.
+	// LinkPorts reports the set of ports currently acting as link
+	// endpoints. The map is shared and read-only: callers must not
+	// mutate it. A link change replaces it rather than editing it, so a
+	// map captured earlier stays a consistent snapshot of its moment.
 	LinkPorts() map[PortRef]bool
 	// HostByMAC looks up a host tracking entry.
 	HostByMAC(mac packet.MAC) (HostEntry, bool)
