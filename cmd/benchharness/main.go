@@ -485,10 +485,10 @@ func printSecBind(seed int64) error {
 
 // printObs runs the Figure 9 testbed under TOPOGUARD+ for two virtual
 // minutes with the full observability stack on: the deterministic metric
-// registry, the structured event bus, and the (wall-clock, hence
-// non-deterministic) kernel profile.
+// registry, the (wall-clock, hence non-deterministic) kernel profile and,
+// with a trace path, the causal span stream.
 func printObs(seed int64, metricsPath, tracePath string) error {
-	header("OBSERVABILITY: metrics, events and kernel profile (Fig 9 testbed, TOPOGUARD+)")
+	header("OBSERVABILITY: metrics and kernel profile (Fig 9 testbed, TOPOGUARD+)")
 	s := core.NewFig9Testbed(seed, core.TopoGuardPlus())
 	defer s.Close()
 	if tracePath != "" {
@@ -500,8 +500,7 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	}
 	profile.Stop()
 
-	reg := s.Net.MergedMetrics()
-	snap := reg.Snapshot()
+	snap := s.Net.MergedMetrics().Snapshot()
 	fmt.Println("deterministic registry snapshot (selected series):")
 	selected := []string{"sim_", "controller_", "defense_", "lli_"}
 	for _, c := range snap.Counters {
@@ -514,17 +513,6 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	}
 	for _, h := range snap.Histograms {
 		fmt.Printf("  %-70s n=%d p50=%s p99=%s\n", h.Name, h.Count, ms(h.P50), ms(h.P99))
-	}
-
-	bus := reg.Events()
-	events := bus.Events()
-	fmt.Printf("\nevent bus: %d retained of %d total; last 5:\n", len(events), bus.Total())
-	tail := events
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	for _, ev := range tail {
-		fmt.Printf("  %s\n", ev)
 	}
 
 	fmt.Println("\nkernel wall-time profile (non-deterministic, excluded from snapshots):")

@@ -15,7 +15,9 @@
 //
 // With -trials N (N > 1) the same configuration runs headlessly across N
 // consecutive seeds on the parallel executor and prints one summary row
-// per trial, merged in seed order:
+// per trial, merged in seed order. Only -metrics is written; the
+// single-run options -chaos, -trace, -tapframes, -pcap and -dot are
+// refused:
 //
 //	topotamper -scenario fig2 -defense both -attack port-probing -trials 20 -parallel 0
 //
@@ -70,7 +72,6 @@ func run(args []string) error {
 	trials := fs.Int("trials", 1, "seeded trials (seed, seed+1, ...); >1 runs a headless fleet, one summary row per trial")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the trial fleet (0 = one per CPU, 1 = serial)")
 	metricsPath := fs.String("metrics", "", "write the final metrics snapshot to this file (.csv for CSV, anything else for JSON Lines); fleets merge per-trial registries in seed order")
-	eventsPath := fs.String("events", "", "write the retained structured event stream to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,7 +83,12 @@ func run(args []string) error {
 		if *chaosClass != "" {
 			return fmt.Errorf("-chaos is a single-run option; for multi-trial fault injection use benchharness -experiment chaos")
 		}
-		return runFleet(*scenarioName, *defenseName, *attackName, *duration, *seed, *trials, *parallel, *metricsPath, *eventsPath)
+		for _, name := range []string{"trace", "tapframes", "pcap", "dot"} {
+			if f := fs.Lookup(name); f.Value.String() != f.DefValue {
+				return fmt.Errorf("-%s is a single-run option; a -trials fleet writes only -metrics", name)
+			}
+		}
+		return runFleet(*scenarioName, *defenseName, *attackName, *duration, *seed, *trials, *parallel, *metricsPath)
 	}
 
 	logf := func(format string, a ...any) {
@@ -192,10 +198,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if err := exportObservability(s.Net.MergedMetrics(), *metricsPath, *eventsPath); err != nil {
-		return err
-	}
-	return nil
+	return writeMetrics(s.Net.MergedMetrics(), *metricsPath)
 }
 
 // exportSpans writes the flight recorder's span stream to path (.jsonl
@@ -237,44 +240,29 @@ func exportSpans(rec *spantrace.Recorder, path string) error {
 	return nil
 }
 
-// exportObservability writes a registry's snapshot and/or event stream to
-// the requested files. Empty paths are skipped; .csv selects the CSV
-// snapshot format and anything else JSON Lines.
-func exportObservability(reg *obs.Registry, metricsPath, eventsPath string) error {
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		snap := reg.Snapshot()
-		if strings.HasSuffix(metricsPath, ".csv") {
-			err = snap.WriteCSV(f)
-		} else {
-			err = snap.WriteJSONL(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", metricsPath)
+// writeMetrics writes a registry's snapshot to path, skipping an empty
+// path; .csv selects the CSV format and anything else JSON Lines.
+func writeMetrics(reg *obs.Registry, path string) error {
+	if path == "" {
+		return nil
 	}
-	if eventsPath != "" {
-		f, err := os.Create(eventsPath)
-		if err != nil {
-			return err
-		}
-		err = obs.WriteEventsJSONL(f, reg.Events().Events())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("event stream written to %s (%d retained of %d total)\n",
-			eventsPath, len(reg.Events().Events()), reg.Events().Total())
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	snap := reg.Snapshot()
+	if strings.HasSuffix(path, ".csv") {
+		err = snap.WriteCSV(f)
+	} else {
+		err = snap.WriteJSONL(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("metrics snapshot written to %s\n", path)
 	return nil
 }
 
@@ -384,7 +372,7 @@ func runTrial(scenarioName, defenseName, attackName string, duration time.Durati
 
 // runFleet runs the same configuration across consecutive seeds on the
 // parallel executor and prints one row per trial, merged in seed order.
-func runFleet(scenarioName, defenseName, attackName string, duration time.Duration, seed int64, trials, workers int, metricsPath, eventsPath string) error {
+func runFleet(scenarioName, defenseName, attackName string, duration time.Duration, seed int64, trials, workers int, metricsPath string) error {
 	fmt.Printf("fleet: %d trials, scenario=%s defense=%s attack=%s duration=%s seeds=%d..%d\n",
 		trials, scenarioName, defenseName, attackName, duration, seed, seed+int64(trials)-1)
 	results, merged, err := exp.RunInstrumented(exp.Seeds(seed, trials, 1), workers, func(s int64) (trialOutcome, *obs.Registry, error) {
@@ -406,7 +394,7 @@ func runFleet(scenarioName, defenseName, attackName string, duration time.Durati
 	if attackName == "port-probing" {
 		fmt.Printf("hijacks completed: %d/%d\n", hijacks, trials)
 	}
-	return exportObservability(merged, metricsPath, eventsPath)
+	return writeMetrics(merged, metricsPath)
 }
 
 func warm(s *core.Scenario) {

@@ -16,6 +16,7 @@ import (
 	"sdntamper/internal/link"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/sim"
 )
 
@@ -341,24 +342,42 @@ func (inj *Injector) BindCluster(rs ReplicaSet) { inj.cluster = rs }
 
 // Inject arms one fault to start after the given delay. The fault's
 // internal schedule is laid out immediately (deterministically); only its
-// effects wait for the kernel clock.
+// effects wait for the kernel clock. With tracing on, the fault records
+// one chaos.fault span when it takes effect.
 func (inj *Injector) Inject(after time.Duration, f Fault) {
 	inj.m.byClass[f.Class()].Inc()
 	inj.m.faultSeq++
 	seq := inj.m.faultSeq
-	inj.m.reg.Events().Publish(obs.Event{
-		At:     inj.kernel.Elapsed() + after,
-		Kind:   obs.KindKernel,
-		Module: "chaos",
-		Name:   "fault-injected",
-		Detail: fmt.Sprintf("#%d %s for %s", seq, f.Class(), f.Duration()),
-	})
-	if after == 0 {
+	start := func() {
+		tr := inj.m.reg.Tracer()
+		if tr == nil {
+			f.apply(inj)
+			return
+		}
+		// The fault's effects (a switch.disconnected, the link.removed
+		// spans it causes) hang under the fault span.
+		id := trace.MixID(uint64(trace.KindKernel), chaosTraceTag, seq)
+		now, prev := tr.Now(), tr.Current()
+		tr.Emit(trace.Span{
+			ID: id, Parent: prev,
+			Start: now, End: now,
+			Kind: trace.KindKernel, Name: "chaos.fault",
+			Detail: fmt.Sprintf("#%d %s for %s", seq, f.Class(), f.Duration()),
+		})
+		tr.SetCurrent(id)
 		f.apply(inj)
+		tr.SetCurrent(prev)
+	}
+	if after == 0 {
+		start()
 		return
 	}
-	inj.kernel.Schedule(after, func() { f.apply(inj) })
+	inj.kernel.Schedule(after, start)
 }
+
+// chaosTraceTag keeps chaos.fault span IDs apart from every other
+// kernel-kind span; the fault sequence number makes them unique.
+const chaosTraceTag = 0xc4a05
 
 // Apply arms every fault in a plan.
 func (inj *Injector) Apply(p Plan) {

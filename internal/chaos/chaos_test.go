@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"sdntamper/internal/link"
-	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/sim"
 	"sdntamper/internal/tgplus"
 	"sdntamper/internal/topoguard"
@@ -279,8 +279,8 @@ func TestExperimentRunsAndChecksInvariants(t *testing.T) {
 }
 
 // TestChaosSnapshotByteIdentical is the determinism pin: one chaos
-// experiment, rendered as Prometheus text plus the event journal, must
-// be byte-for-byte identical between a serial run and an 8-worker run.
+// experiment, rendered as Prometheus text, must be byte-for-byte
+// identical between a serial run and an 8-worker run.
 func TestChaosSnapshotByteIdentical(t *testing.T) {
 	render := func(workers int) string {
 		_, merged, err := Run(Config{
@@ -296,9 +296,6 @@ func TestChaosSnapshotByteIdentical(t *testing.T) {
 		if err := merged.Snapshot().WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.WriteEventsJSONL(&b, merged.Events().Events()); err != nil {
-			t.Fatal(err)
-		}
 		return b.String()
 	}
 	want := render(1)
@@ -312,3 +309,46 @@ var (
 	_ = (*topoguard.TopoGuard)(nil)
 	_ = (*tgplus.CMM)(nil)
 )
+
+// TestInjectEmitsOneFaultSpan pins the fault record of a traced run:
+// every Inject yields exactly one chaos.fault span, stamped when the
+// fault takes effect (not when it was armed), and the controller's
+// reaction to a disconnect hangs under it.
+func TestInjectEmitsOneFaultSpan(t *testing.T) {
+	tb := newTB(t, 47)
+	tb.Net.EnableTrace(0)
+	runTB(t, tb, 40*time.Second)
+	armed := tb.Net.ControlKernel().Elapsed()
+
+	inj := NewInjector(tb.Net, 47)
+	inj.Inject(0, &LatencySpike{Targets: []LatencyPath{tb.Net.Trunks()[0]}, Factor: 2, Length: 10 * time.Second})
+	inj.Inject(3*time.Second, &Disconnect{DPID: 2, Down: 5 * time.Second})
+	runTB(t, tb, 20*time.Second)
+
+	spans := tb.Net.MergedSpans()
+	faults := trace.FindByName(spans, "chaos.fault")
+	want := []struct {
+		detail string
+		at     time.Duration
+	}{
+		{"#1 latency-spike for 10s", armed},
+		{"#2 disconnect for 5s", armed + 3*time.Second},
+	}
+	if len(faults) != len(want) {
+		t.Fatalf("%d chaos.fault spans, want %d: %+v", len(faults), len(want), faults)
+	}
+	for i, w := range want {
+		f := faults[i]
+		if f.Detail != w.detail || f.Start != int64(w.at) || f.End != f.Start {
+			t.Errorf("fault %d = %q at [%d, %d], want %q at %d", i, f.Detail, f.Start, f.End, w.detail, int64(w.at))
+		}
+	}
+	down := trace.FindByName(spans, "switch.disconnected")
+	if len(down) != 1 || down[0].Entity != 2 {
+		t.Fatalf("switch.disconnected spans = %+v, want one for switch 2", down)
+	}
+	chain := trace.Chain(spans, down[0].ID)
+	if len(chain) < 2 || chain[len(chain)-2].ID != faults[1].ID {
+		t.Fatalf("switch.disconnected does not hang under its fault: chain %+v", chain)
+	}
+}

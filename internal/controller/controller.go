@@ -221,7 +221,32 @@ const (
 	traceSiteLLDPEmit = iota + 1
 	traceSitePacketIn
 	traceSiteLLDPFlight
+	traceSiteLinkAdded
+	traceSiteLinkRemoved
+	traceSiteHostJoined
+	traceSiteHostMoved
+	traceSiteHostAgedOut
+	traceSiteSwitchDown
+	traceSiteSwitchUp
+	traceSiteAlert
 )
+
+// instant records a zero-duration span for one topology change or
+// alert, parented on the chain being handled: a link.added hangs under
+// the lldp.flight that proved it, a host.joined under its packet-in.
+// Sites call it only inside their tracer nil check, so the detail string
+// is built only when tracing is on.
+func (c *Controller) instant(tr *trace.Recorder, site uint64, kind trace.Kind, name string, loc PortRef, detail string) {
+	c.traceSeq++
+	now := tr.Now()
+	tr.Emit(trace.Span{
+		ID:     trace.MixID(uint64(kind), site, loc.DPID, uint64(loc.Port), c.traceSeq),
+		Parent: tr.Current(),
+		Start:  now, End: now,
+		Kind: kind, Name: name,
+		Entity: loc.DPID, Port: loc.Port, Detail: detail,
+	})
+}
 
 // Disconnect tears down the control connection to a switch, as when the
 // channel drops or the switch reboots. Every pending probe bound to the
@@ -240,7 +265,9 @@ func (c *Controller) Disconnect(dpid uint64) bool {
 	c.invalidateFloodPlan()
 	c.deadSwitches[dpid] = c.kernel.Now()
 	c.m.switchDisconnects.Inc()
-	c.event(obs.KindTopology, "switch-disconnected", PortRef{DPID: dpid}, "")
+	if tr := c.tracer; tr != nil {
+		c.instant(tr, traceSiteSwitchDown, trace.KindControl, "switch.disconnected", PortRef{DPID: dpid}, "")
+	}
 	c.logf("switch 0x%x disconnected", dpid)
 	c.failPendingProbes(dpid)
 	c.removeLinksMatching(func(l Link) bool {
@@ -360,7 +387,9 @@ func (conn *Conn) Handle(data []byte) {
 		if _, wasDead := c.deadSwitches[conn.dpid]; wasDead {
 			delete(c.deadSwitches, conn.dpid)
 			c.m.switchReconnects.Inc()
-			c.event(obs.KindTopology, "switch-reconnected", PortRef{DPID: conn.dpid}, "")
+			if tr := c.tracer; tr != nil {
+				c.instant(tr, traceSiteSwitchUp, trace.KindControl, "switch.reconnected", PortRef{DPID: conn.dpid}, "")
+			}
 		}
 		c.logf("switch 0x%x connected with %d ports", conn.dpid, len(msg.Ports))
 		for _, o := range c.switchObservers {
@@ -409,7 +438,6 @@ func (c *Controller) handlePacketIn(conn *Conn, msg *openflow.PacketIn) {
 		return
 	}
 	c.m.packetIn.Inc()
-	c.event(obs.KindPacket, "packet-in", PortRef{DPID: conn.dpid, Port: msg.InPort}, "")
 	if tr := c.tracer; tr != nil {
 		// Every Packet-In gets a span: chained under the control-channel
 		// hop that carried it when the frame belongs to a traced chain,
@@ -475,13 +503,9 @@ func (c *Controller) RaiseAlert(module, reason, detail string) {
 	c.alerts = append(c.alerts, a)
 	c.m.alerts.Inc()
 	c.m.alertCounter(module, reason).Inc()
-	c.m.reg.Events().Publish(obs.Event{
-		At:     c.kernel.Now().Sub(sim.Epoch),
-		Kind:   obs.KindVerdict,
-		Module: module,
-		Name:   reason,
-		Detail: detail,
-	})
+	if tr := c.tracer; tr != nil {
+		c.instant(tr, traceSiteAlert, trace.KindDefense, "alert", PortRef{}, "["+module+"] "+reason+": "+detail)
+	}
 	c.logf("%s", a.String())
 }
 
@@ -557,7 +581,9 @@ func (c *Controller) LinkPorts() map[PortRef]bool {
 func (c *Controller) RemoveLink(l Link) {
 	if _, ok := c.links[l]; ok {
 		c.m.linksRemoved.Inc()
-		c.event(obs.KindTopology, "link-removed", l.Src, "evicted "+l.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteLinkRemoved, trace.KindControl, "link.removed", l.Src, "evicted "+l.String())
+		}
 		for _, o := range c.removalObservers {
 			o.ObserveLinkRemoved(l, "api")
 		}

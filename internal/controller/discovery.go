@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sdntamper/internal/lldp"
-	"sdntamper/internal/obs"
 	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/openflow"
 	"sdntamper/internal/packet"
@@ -172,7 +171,9 @@ func (c *Controller) handleLLDPIn(ev *PacketInEvent) {
 	if linkEv.IsNew {
 		c.logf("link discovered: %s", l)
 		c.m.linksAdded.Inc()
-		c.event(obs.KindTopology, "link-added", l.Src, l.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteLinkAdded, trace.KindControl, "link.added", l.Src, l.String())
+		}
 		c.linkBorn[l] = ev.When
 		// A refresh only bumps the last-seen time; only a genuinely new
 		// link changes the forwarding views.

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/packet"
 )
 
@@ -61,7 +61,9 @@ func (c *Controller) observeHost(ev *PacketInEvent) {
 	if known {
 		c.logf("host %s moved %s -> %s", src, entry.Loc, loc)
 		c.m.hostMoves.Inc()
-		c.event(obs.KindTopology, "host-moved", loc, src.String()+" from "+entry.Loc.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteHostMoved, trace.KindControl, "host.moved", loc, src.String()+" from "+entry.Loc.String())
+		}
 		entry.Loc = loc
 		entry.LastSeen = ev.When
 		if !ip.IsZero() {
@@ -70,7 +72,9 @@ func (c *Controller) observeHost(ev *PacketInEvent) {
 	} else {
 		c.logf("host %s joined at %s", src, loc)
 		c.m.hostJoins.Inc()
-		c.event(obs.KindTopology, "host-joined", loc, src.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteHostJoined, trace.KindControl, "host.joined", loc, src.String())
+		}
 		c.hosts[src] = &HostEntry{
 			MAC:       src,
 			IP:        ip,
@@ -101,7 +105,7 @@ func (c *Controller) ForgetHost(mac packet.MAC) { delete(c.hosts, mac) }
 // timeout. A host behind a dead switch is unverifiable — no Packet-In can
 // refresh it and no probe can reach it — so after the same grace period
 // links get, its binding is stale state an attacker could squat on.
-// Eviction runs in MAC order so the emitted events are reproducible.
+// Eviction runs in MAC order so the emitted spans are reproducible.
 func (c *Controller) ageDeadSwitchHosts(now time.Time) {
 	if len(c.deadSwitches) == 0 {
 		return
@@ -120,7 +124,9 @@ func (c *Controller) ageDeadSwitchHosts(now time.Time) {
 		h := c.hosts[mac]
 		delete(c.hosts, mac)
 		c.m.hostsAgedOut.Inc()
-		c.event(obs.KindTopology, "host-aged-out", h.Loc, mac.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteHostAgedOut, trace.KindControl, "host.aged-out", h.Loc, mac.String())
+		}
 		c.logf("host %s aged out: switch 0x%x dead past link timeout", mac, h.Loc.DPID)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sdntamper/internal/obs"
-	"sdntamper/internal/sim"
 )
 
 // Controller metric names. Labeled variants (per-module alert reasons)
@@ -149,18 +148,4 @@ func (m *ctlMetrics) alertCounter(module, reason string) *obs.Counter {
 	c := m.reg.Counter(fmt.Sprintf("%s{module=%q,reason=%q}", MetricAlerts, module, reason))
 	m.alertReasons[key] = c
 	return c
-}
-
-// event publishes a structured record on the registry's bus stamped with
-// the controller's current virtual time.
-func (c *Controller) event(kind obs.Kind, name string, loc PortRef, detail string) {
-	c.m.reg.Events().Publish(obs.Event{
-		At:     c.kernel.Now().Sub(sim.Epoch),
-		Kind:   kind,
-		Module: "controller",
-		Name:   name,
-		DPID:   loc.DPID,
-		Port:   loc.Port,
-		Detail: detail,
-	})
 }

@@ -3,7 +3,7 @@ package controller
 import (
 	"sort"
 
-	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/openflow"
 )
 
@@ -107,8 +107,8 @@ func sortLinks(ls []Link) {
 }
 
 // removeLinksMatching evicts every link the predicate selects, emitting
-// one link-removed event per eviction in sorted link order (event and
-// metric order must not depend on map iteration), and reports how many
+// one link.removed span per eviction in sorted link order (span and
+// observer order must not depend on map iteration), and reports how many
 // links left the topology.
 func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) int {
 	doomed := make([]Link, 0, len(c.links))
@@ -122,7 +122,9 @@ func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) in
 		delete(c.links, l)
 		delete(c.linkBorn, l)
 		c.m.linksRemoved.Inc()
-		c.event(obs.KindTopology, "link-removed", l.Src, reason+" "+l.String())
+		if tr := c.tracer; tr != nil {
+			c.instant(tr, traceSiteLinkRemoved, trace.KindControl, "link.removed", l.Src, reason+" "+l.String())
+		}
 		for _, o := range c.removalObservers {
 			o.ObserveLinkRemoved(l, reason)
 		}

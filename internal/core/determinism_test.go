@@ -91,8 +91,7 @@ func TestParallelExecutorByteIdentical(t *testing.T) {
 
 // TestMetricsSnapshotByteIdentical extends the determinism contract to
 // the observability layer: a fleet's merged metrics snapshot (Prometheus
-// text) and merged event stream (JSON Lines) must be byte-for-byte
-// identical regardless of the worker count.
+// text) must be byte-for-byte identical regardless of the worker count.
 func TestMetricsSnapshotByteIdentical(t *testing.T) {
 	seeds := []int64{11, 12, 13, 14, 15, 16}
 	trial := func(seed int64) (struct{}, *obs.Registry, error) {
@@ -110,9 +109,6 @@ func TestMetricsSnapshotByteIdentical(t *testing.T) {
 		}
 		var b strings.Builder
 		if err := merged.Snapshot().WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteEventsJSONL(&b, merged.Events().Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

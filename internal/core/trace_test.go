@@ -101,6 +101,25 @@ func TestTraceByteIdentical(t *testing.T) {
 	if n := len(trace.FindByName(refSpans, "verdict.pass")); n == 0 {
 		t.Error("reference stream has no verdict.pass spans")
 	}
+
+	// Topology changes are instant spans in the same stream, so the
+	// shard-count gate above covers them; a new link must hang under
+	// the probe flight that proved it.
+	if n := len(trace.FindByName(refSpans, "host.joined")); n == 0 {
+		t.Error("reference stream has no host.joined spans")
+	}
+	added := trace.FindByName(refSpans, "link.added")
+	if len(added) == 0 {
+		t.Fatal("reference stream has no link.added spans")
+	}
+	chain = trace.Chain(refSpans, added[0].ID)
+	inFlight := false
+	for _, s := range chain {
+		inFlight = inFlight || s.Name == "lldp.flight"
+	}
+	if !inFlight {
+		t.Errorf("link.added chain has no lldp.flight: %+v", chain)
+	}
 }
 
 // TestCMMForensicTimeline drives the in-band port-amnesia attack of

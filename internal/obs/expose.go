@@ -180,15 +180,3 @@ func (s *Snapshot) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteEventsJSONL renders events as JSON Lines, one object per event,
-// oldest first: {"at_us":..., "kind":"topology", "module":"controller",
-// "name":"link-added", "dpid":"0x2", "port":3, "detail":"..."}.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	for _, e := range events {
-		fmt.Fprintf(w, "{\"at_us\":%d,\"kind\":%q,\"module\":%s,\"name\":%s,\"dpid\":\"0x%x\",\"port\":%d,\"detail\":%s}\n",
-			e.At.Microseconds(), e.Kind.String(), strconv.Quote(e.Module),
-			strconv.Quote(e.Name), e.DPID, e.Port, strconv.Quote(e.Detail))
-	}
-	return nil
-}

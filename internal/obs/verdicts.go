@@ -20,7 +20,7 @@ type Verdicts struct {
 	reg     *Registry
 	module  string
 	pass    *Counter
-	reasons map[string]*Counter // verdict+"\x00"+reason -> counter
+	reasons map[verdictKey]*Counter
 
 	// moduleTag is the module name folded into span-ID tags; seq numbers
 	// the module's verdicts so every defense_verdicts_total increment
@@ -37,7 +37,7 @@ func NewVerdicts(reg *Registry, module string) *Verdicts {
 		reg:       reg,
 		module:    module,
 		pass:      reg.Counter(fmt.Sprintf("%s{module=%q,verdict=\"pass\"}", MetricDefenseVerdicts, module)),
-		reasons:   make(map[string]*Counter),
+		reasons:   make(map[verdictKey]*Counter),
 		moduleTag: hashTag(module),
 	}
 }
@@ -97,8 +97,15 @@ func (v *Verdicts) emitSpan(name, reason string) {
 	})
 }
 
+// verdictKey keys the labeled verdict counters without string
+// concatenation, so a repeated Block or Flag allocates nothing.
+type verdictKey struct {
+	verdict string
+	reason  string
+}
+
 func (v *Verdicts) counter(verdict, reason string) *Counter {
-	key := verdict + "\x00" + reason
+	key := verdictKey{verdict: verdict, reason: reason}
 	if c, ok := v.reasons[key]; ok {
 		return c
 	}

@@ -489,12 +489,6 @@ func (m *Manager) SessionCount() int { return len(m.sessions) }
 // drains, the count must return to zero.
 func (m *Manager) PendingProbes() int { return len(m.pending) }
 
-// HasSession reports whether a directed link currently has a session.
-func (m *Manager) HasSession(l Link) bool {
-	_, ok := m.sessions[l]
-	return ok
-}
-
 func sortLinks(ls []Link) {
 	sort.Slice(ls, func(i, j int) bool {
 		a, b := ls[i], ls[j]
